@@ -1,9 +1,10 @@
 """Benchmark multi-tile sharded execution against the single-tile placement.
 
-For each shipped shard geometry the same logical layer runs once as a single
-crossbar tile and once as a :class:`~repro.crossbar.tile.ShardedTileGroup`,
-through the fused ``forward_with_power`` path.  Total arithmetic is identical
-(the shards partition the weight matrix), so the recorded
+For each shipped shard geometry the same logical layer runs once on a single
+crossbar array and once on a grid of shard arrays (both a
+:class:`~repro.crossbar.tile.CrossbarTile`), through the fused
+``forward_with_power`` path.  Total arithmetic is identical (the shards
+partition the weight matrix), so the recorded
 ``sharded_s / single_s`` ratio is pure sharding overhead — shard dispatch,
 partial-sum reduction, per-shard current stacking.  The acceptance gate
 (enforced by ``scripts/check_bench_regression.py``) is that sharded forward

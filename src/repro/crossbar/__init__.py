@@ -22,12 +22,10 @@ from repro.crossbar.shard import (
     NonPicklableShardError,
     ShardProgram,
     run_shard,
-    run_shard_matvec,
-    run_shard_total_current,
 )
 from repro.crossbar.adc_dac import DAC, ADC
 from repro.crossbar.power import PowerModel, PowerReport
-from repro.crossbar.tile import CrossbarTile, ShardedTileGroup, build_tile
+from repro.crossbar.tile import CrossbarTile
 from repro.crossbar.accelerator import CrossbarAccelerator
 
 __all__ = [
@@ -44,14 +42,10 @@ __all__ = [
     "NonPicklableShardError",
     "ShardProgram",
     "run_shard",
-    "run_shard_matvec",
-    "run_shard_total_current",
     "DAC",
     "ADC",
     "PowerModel",
     "PowerReport",
     "CrossbarTile",
-    "ShardedTileGroup",
-    "build_tile",
     "CrossbarAccelerator",
 ]

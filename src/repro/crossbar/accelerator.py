@@ -4,27 +4,27 @@ The accelerator is the attack target ("oracle hardware") in the paper's
 experiments: it exposes exactly the interfaces an attacker might have —
 classification outputs, raw output vectors, and the power side channel.
 
-The compute spine is a fused single-pass engine.  :meth:`forward_with_power`
-streams a batch through every tile exactly once, collecting the layer
-activations *and* each physical tile's supply current from the same
-conductance realization (via :meth:`CrossbarTile.forward_with_power_shards`),
-so the functional outputs and the power trace an attacker observes are
-physically consistent and the accelerator is traversed once per batch instead
-of twice.  :meth:`power_trace` and :meth:`total_current` are thin wrappers
-over that fused path; :meth:`forward` streams batches through the tiles in
-2-D form without per-layer re-wrapping.  On deterministic (read-noise-free)
-arrays each tile additionally reuses its cached effective state, so repeated
-queries cost one matrix product per tile and nothing else.
+Every layer is one :class:`~repro.crossbar.tile.CrossbarTile`: a grid of
+physical crossbar arrays, a single array unless a
+:class:`~repro.crossbar.mapping.ShardingSpec` says otherwise (one spec for
+every layer, or a per-layer sequence).  The compute spine is one fused
+traversal.  :meth:`forward_with_power` streams a batch through every tile
+exactly once and collects, via
+:meth:`CrossbarTile.forward_with_power_shards`, the layer activations *and*
+each physical array's supply current from the same conductance realization.
+So the functional outputs and the power trace an attacker observes are
+physically consistent, and the accelerator is traversed once per batch
+instead of twice.  :meth:`power_trace` and :meth:`total_current` are thin
+wrappers over that fused path; :meth:`forward` streams batches through the
+tiles in 2-D form without per-layer re-wrapping.  On deterministic
+(read-noise-free) arrays each array reuses its cached effective state, so
+repeated queries cost one matrix product per array and nothing else.
 
-Multi-tile sharding: passing a
-:class:`~repro.crossbar.mapping.ShardingSpec` (one spec for every layer, or a
-per-layer sequence) places layers on
-:class:`~repro.crossbar.tile.ShardedTileGroup` grids instead of single tiles.
-The :class:`~repro.crossbar.power.PowerReport` then carries one current
-column per *physical* tile — labelled ``layer<i>/r<r>c<c>`` — so tile-count
-and placement scenarios from the paper's hardware discussion are observable,
-while the summed total current is the partial-sum reduction the digital
-backend would perform.
+The :class:`~repro.crossbar.power.PowerReport` carries one current column per
+*physical* array — labelled ``layer<i>`` for a single-array layer and
+``layer<i>/r<r>c<c>`` for a shard — so tile-count and placement scenarios
+from the paper's hardware discussion are observable, while the summed total
+current is the partial-sum reduction the digital backend would perform.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.crossbar.adc_dac import ADC, DAC
 from repro.crossbar.mapping import ConductanceMapping, ShardingSpec
 from repro.crossbar.nonidealities import NonidealityConfig
 from repro.crossbar.power import PowerModel, PowerReport
-from repro.crossbar.tile import CrossbarTile, build_tile
+from repro.crossbar.tile import CrossbarTile
 from repro.nn.network import Sequential
 from repro.utils.rng import RandomState, spawn_rngs
 
@@ -130,9 +130,9 @@ class CrossbarAccelerator:
         layer_sharding = _resolve_layer_sharding(sharding, len(network.layers))
         rngs = spawn_rngs(random_state, len(network.layers))
         self.tiles: List[CrossbarTile] = [
-            build_tile(
+            CrossbarTile(
                 layer,
-                sharding=spec,
+                spec,
                 mapping=mapping,
                 nonidealities=nonidealities,
                 dac=dac,

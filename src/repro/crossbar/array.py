@@ -26,8 +26,10 @@ read.  Three properties of that state drive the engine:
   fresh realization, exactly as before.
 * **Accounting.**  :attr:`n_operations` counts analogue array traversals and
   :attr:`n_realizations` counts physical conductance reads (cache hits
-  realise nothing).  Tests and benchmarks use these to prove the fused path
-  traverses the array exactly once per batch.
+  realise nothing), both by the one rule in :meth:`count_traversal`, which
+  also accounts for traversals run in a worker process.  Tests and
+  benchmarks use these to prove the fused path traverses the array exactly
+  once per batch.
 
 Measurement noise (``current_measurement_noise``) is applied *after* the
 cached dot product, so repeated total-current reads remain independently
@@ -283,17 +285,21 @@ class CrossbarArray:
         self._n_operations = 0
         self._n_realizations = 0
 
-    def record_offloaded_traversal(self, *, realizations: int = 1) -> None:
-        """Account for a traversal executed outside this host object.
+    def count_traversal(self, n_rows: int, *, seeded: bool) -> Optional[_EffectiveState]:
+        """Count one traversal and the conductance reads it realises.
 
-        When a shard's physics runs in a worker process (a materialised
-        :class:`~repro.crossbar.shard.ShardProgram`), the worker traverses
-        its own copy of the devices; the host array records the traversal
-        here so :attr:`n_operations` / :attr:`n_realizations` keep describing
-        the physical array regardless of where the kernel ran.
+        The one counting rule for every address space: a traversal run here
+        calls it, and so does a dispatcher that runs the traversal on a
+        :class:`~repro.crossbar.shard.ShardProgram` in a worker process.  A
+        read-noise-free array is read once and its cached state (returned)
+        serves every later call; a noisy one is read once per seeded row, or
+        once per call without seeds, and ``None`` is returned.
         """
         self._n_operations += 1
-        self._n_realizations += int(realizations)
+        if self.device.read_noise == 0:
+            return self._realize_state()
+        self._n_realizations += n_rows if seeded else 1
+        return None
 
     # -------------------------------------------------- static non-idealities
 
@@ -329,10 +335,10 @@ class CrossbarArray:
         """
         self._state_cache = None
 
-    def _read_conductances(self) -> tuple[np.ndarray, np.ndarray]:
-        """Conductances as seen by one read operation (read noise applied)."""
-        g_plus = self.device.apply_read_noise(self.g_plus, self._rng)
-        g_minus = self.device.apply_read_noise(self.g_minus, self._rng)
+    def _read(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Conductances as seen by one read operation (read noise from ``rng``)."""
+        g_plus = self.device.apply_read_noise(self.g_plus, rng)
+        g_minus = self.device.apply_read_noise(self.g_minus, rng)
         return g_plus, g_minus
 
     def _ir_drop_attenuation(self, g_plus: np.ndarray, g_minus: np.ndarray) -> np.ndarray:
@@ -381,24 +387,15 @@ class CrossbarArray:
         )
         return 1.0 / (1.0 + drop)
 
-    def _realize_state(self) -> _EffectiveState:
-        """One physical conductance read, shared by outputs and power.
+    def _effective(
+        self, g_plus: np.ndarray, g_minus: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Attenuated differential matrix and column sums of one read.
 
-        When the device is read-noise free the realised state is cached and
-        reused until ``g_plus`` / ``g_minus`` change; otherwise each call
-        draws a fresh realization.
+        The single effective-state computation behind both the cached state
+        and the per-row seeded realisations.
         """
-        deterministic = self.device.read_noise == 0
-        if deterministic:
-            cache = self._state_cache
-            if (
-                cache is not None
-                and cache.g_plus is self.g_plus
-                and cache.g_minus is self.g_minus
-            ):
-                return cache
-        g_plus, g_minus = self._read_conductances()
-        attenuation = self._ir_drop_attenuation(g_plus, g_minus)
+        attenuation = self._ir_drop_attenuation(g_plus, g_minus)[np.newaxis, :]
         droop = self._wire_droop(g_plus, g_minus)
         if droop is not None:
             g_diff = (g_plus - g_minus) * droop
@@ -406,13 +403,18 @@ class CrossbarArray:
         else:
             g_diff = g_plus - g_minus
             g_sum = g_plus + g_minus
-        effective = g_diff * attenuation[np.newaxis, :]
-        column_sums = (g_sum * attenuation[np.newaxis, :]).sum(axis=0)
-        # One host->device transfer per realization; with a deterministic
-        # device the state is cached, so the operands stay device-resident
-        # until program()/invalidate_state_cache() and every query pays only
-        # the batch transfer.  On numpy/float64 asarray is a no-copy view.
-        state = _EffectiveState(
+        return g_diff * attenuation, (g_sum * attenuation).sum(axis=0)
+
+    def _state(self, g_plus: np.ndarray, g_minus: np.ndarray) -> _EffectiveState:
+        """One realised read as host state plus its device-resident operands.
+
+        One host->device transfer per realization; with a deterministic
+        device the state is cached, so the operands stay device-resident
+        until program()/invalidate_state_cache() and every query pays only
+        the batch transfer.  On numpy/float64 asarray is a no-copy view.
+        """
+        effective, column_sums = self._effective(g_plus, g_minus)
+        return _EffectiveState(
             self.g_plus,
             self.g_minus,
             effective,
@@ -420,10 +422,22 @@ class CrossbarArray:
             self.backend.asarray(effective, self._dtype),
             self.backend.asarray(column_sums, self._dtype),
         )
-        self._n_realizations += 1
-        if deterministic:
-            self._state_cache = state
-        return state
+
+    def _realize_state(self) -> _EffectiveState:
+        """The cached state of a read-noise-free array, realised on a miss.
+
+        The cache is reused until ``g_plus`` / ``g_minus`` change; a miss
+        counts one realization.
+        """
+        cache = self._state_cache
+        if (
+            cache is None
+            or cache.g_plus is not self.g_plus
+            or cache.g_minus is not self.g_minus
+        ):
+            cache = self._state_cache = self._state(*self._read(self._rng))
+            self._n_realizations += 1
+        return cache
 
     def _validate_batch(self, voltages: np.ndarray) -> Tuple[np.ndarray, bool]:
         voltages = np.asarray(voltages, dtype=float)
@@ -435,57 +449,6 @@ class CrossbarArray:
             )
         return batch, single
 
-    def _apply_measurement_noise(self, currents):
-        """Multiplicative instrument noise on (host or device) currents.
-
-        Noise factors are always drawn host-side from the array's own
-        generator — exactly the draws the pre-backend engine made — and
-        shipped to the device for the elementwise multiply.
-        """
-        noise = self.nonidealities.current_measurement_noise
-        if noise > 0:
-            factors = 1.0 + self._rng.normal(0.0, noise, size=tuple(currents.shape))
-            currents = currents * self.backend.asarray(factors, self._dtype)
-        return currents
-
-    # ------------------------------------------------------ unseeded kernels
-
-    def _product_kernels(self, batch: np.ndarray, state: _EffectiveState, *,
-                         want_outputs: bool, want_totals: bool):
-        """The unseeded hot-path products on the device-resident operands.
-
-        Default: BLAS ``matmul`` (fastest).  With :attr:`batch_invariant`
-        the same fixed-reduction-order einsum family as the seeded path is
-        used instead, so a row's result is bitwise independent of the batch
-        it rides in even without seeds.
-        """
-        vb = self.backend.asarray(batch, self._dtype)
-        if self.batch_invariant:
-            outputs = (
-                self.backend.einsum("ij,kj->ik", vb, state.effective_dev)
-                if want_outputs
-                else None
-            )
-            totals = (
-                self.backend.einsum("ij,j->i", vb, state.column_sums_dev)
-                if want_totals
-                else None
-            )
-        else:
-            outputs = (
-                self.backend.matmul(vb, state.effective_dev.T)
-                if want_outputs
-                else None
-            )
-            totals = (
-                self.backend.matmul(vb, state.column_sums_dev)
-                if want_totals
-                else None
-            )
-        return outputs, totals
-
-    # ------------------------------------------------------ seeded operations
-
     def _validate_seeds(self, sample_seeds, batch: np.ndarray) -> np.ndarray:
         seeds = np.asarray(sample_seeds, dtype=np.uint64)
         if seeds.ndim != 1 or len(seeds) != len(batch):
@@ -495,83 +458,84 @@ class CrossbarArray:
             )
         return seeds
 
-    def _seeded_compute(
-        self,
-        batch: np.ndarray,
-        sample_seeds: np.ndarray,
-        *,
-        want_outputs: bool,
-        want_totals: bool,
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """One array traversal whose noise is keyed on per-row seeds.
+    def _rail_factors(self, seeds: Optional[np.ndarray], n_rows: int) -> np.ndarray:
+        """Multiplicative rail measurement-noise factors, one per row.
 
-        Every stochastic effect along the path — read-noise conductance
-        realizations and rail measurement noise — is drawn from a stream
-        derived from ``(row seed, noise_tag, channel)`` instead of the
-        array's own generator, making row ``i``'s observables a pure function
-        of ``(batch[i], sample_seeds[i])``: independent of batch composition
-        and of any previous operation.  Row-noise-free arrays reuse the
-        cached effective state, so the deterministic fast path is untouched.
+        Seeded rows draw from their own ``(seed, noise_tag)`` streams;
+        unseeded calls draw from the array's generator.  Either way the
+        factors are host numpy, shipped to the device for the multiply.
         """
-        seeds = self._validate_seeds(sample_seeds, batch)
-        self._n_operations += 1
         noise = self.nonidealities.current_measurement_noise
-        if self.device.read_noise == 0:
-            state = self._realize_state()
-            vb = self.backend.asarray(batch, self._dtype)
+        if seeds is not None:
+            return seeded_noise_factors(
+                seeds, _ARRAY_DOMAIN, self.noise_tag, _RAIL_CHANNEL, std=noise
+            )
+        return 1.0 + self._rng.normal(0.0, noise, size=(n_rows,))
+
+    # ------------------------------------------------------------ operations
+
+    def _traverse(
+        self, voltages, sample_seeds, *, want_outputs: bool, want_totals: bool
+    ):
+        """One array traversal behind all three public operations.
+
+        Returns ``(outputs (B, M) | None, totals (B,) | None, single)``.
+        Without ``sample_seeds`` noise comes from the array's own generator.
+        With them every stochastic effect — read-noise realizations and rail
+        measurement noise — is drawn from a stream derived from
+        ``(row seed, noise_tag, channel)``, making row ``i``'s observables a
+        pure function of ``(batch[i], sample_seeds[i])``: independent of
+        batch composition and of any previous operation.  Read-noise-free
+        arrays reuse the cached effective state on both paths.
+        """
+        batch, single = self._validate_batch(voltages)
+        seeds = None
+        if sample_seeds is not None:
+            seeds = self._validate_seeds(sample_seeds, batch)
+        state = self.count_traversal(len(batch), seeded=seeds is not None)
+        noisy_rail = want_totals and self.nonidealities.current_measurement_noise > 0
+        if state is None and seeds is not None:
+            # Per-row seeded realizations are host-side physics (fresh noisy
+            # conductances per row); their rail noise stays host-side too.
+            outputs = np.empty((len(batch), self.n_rows)) if want_outputs else None
+            totals = np.empty(len(batch)) if want_totals else None
+            for i, (row, seed) in enumerate(zip(batch, seeds)):
+                rng = sample_stream(seed, _ARRAY_DOMAIN, self.noise_tag, _READ_CHANNEL)
+                effective, column_sums = self._effective(*self._read(rng))
+                if want_outputs:
+                    outputs[i] = effective @ row
+                if want_totals:
+                    totals[i] = row @ column_sums
+            if noisy_rail:
+                totals = totals * self._rail_factors(seeds, len(batch))
+            return outputs, totals, single
+        if state is None:
+            state = self._state(*self._read(self._rng))
+        backend = self.backend
+        vb = backend.asarray(batch, self._dtype)
+        outputs = totals = None
+        if seeds is not None or self.batch_invariant:
             # einsum, not BLAS matmul: its per-row reduction order does not
             # depend on the batch size, so a row's result is bitwise the same
             # whether it is computed alone or inside a coalesced batch (BLAS
             # gemm/gemv pick different kernels per shape and break that).
-            outputs = (
-                self.backend.einsum("ij,kj->ik", vb, state.effective_dev)
-                if want_outputs
-                else None
-            )
-            totals = (
-                self.backend.einsum("ij,j->i", vb, state.column_sums_dev)
-                if want_totals
-                else None
-            )
-            if want_totals and noise > 0:
-                factors = seeded_noise_factors(
-                    seeds, _ARRAY_DOMAIN, self.noise_tag, _RAIL_CHANNEL, std=noise
-                )
-                totals = totals * self.backend.asarray(factors, self._dtype)
             if want_outputs:
-                outputs = self.backend.to_numpy(outputs)
+                outputs = backend.einsum("ij,kj->ik", vb, state.effective_dev)
             if want_totals:
-                totals = self.backend.to_numpy(totals)
+                totals = backend.einsum("ij,j->i", vb, state.column_sums_dev)
         else:
-            outputs = (
-                np.empty((len(batch), self.n_rows)) if want_outputs else None
-            )
-            totals = np.empty(len(batch)) if want_totals else None
-            for i, (row, seed) in enumerate(zip(batch, seeds)):
-                rng = sample_stream(seed, _ARRAY_DOMAIN, self.noise_tag, _READ_CHANNEL)
-                g_plus = self.device.apply_read_noise(self.g_plus, rng)
-                g_minus = self.device.apply_read_noise(self.g_minus, rng)
-                attenuation = self._ir_drop_attenuation(g_plus, g_minus)
-                droop = self._wire_droop(g_plus, g_minus)
-                if droop is not None:
-                    g_diff = (g_plus - g_minus) * droop
-                    g_sum = (g_plus + g_minus) * droop
-                else:
-                    g_diff = g_plus - g_minus
-                    g_sum = g_plus + g_minus
-                self._n_realizations += 1
-                if want_outputs:
-                    outputs[i] = (g_diff * attenuation) @ row
-                if want_totals:
-                    column_sums = (g_sum * attenuation).sum(axis=0)
-                    totals[i] = row @ column_sums
-            # The per-row realization loop is host-side physics (fresh noisy
-            # conductances per row); its rail noise stays host-side too.
-            if want_totals and noise > 0:
-                totals = totals * seeded_noise_factors(
-                    seeds, _ARRAY_DOMAIN, self.noise_tag, _RAIL_CHANNEL, std=noise
-                )
-        return outputs, totals
+            if want_outputs:
+                outputs = backend.matmul(vb, state.effective_dev.T)
+            if want_totals:
+                totals = backend.matmul(vb, state.column_sums_dev)
+        if noisy_rail:
+            factors = self._rail_factors(seeds, len(batch))
+            totals = totals * backend.asarray(factors, self._dtype)
+        if want_outputs:
+            outputs = backend.to_numpy(outputs)
+        if want_totals:
+            totals = backend.to_numpy(totals)
+        return outputs, totals, single
 
     def matvec(
         self, voltages: np.ndarray, *, sample_seeds=None
@@ -583,26 +547,17 @@ class CrossbarArray:
         voltages:
             ``(N,)`` or ``(B, N)`` input voltage vector(s).
         sample_seeds:
-            Optional per-row noise seeds (see :meth:`_seeded_compute`); the
-            default draws from the array's own generator as before.
+            Optional per-row noise seeds (see :meth:`_traverse`); the
+            default draws from the array's own generator.
 
         Returns
         -------
         np.ndarray
             Output currents ``(M,)`` or ``(B, M)``.
         """
-        batch, single = self._validate_batch(voltages)
-        if sample_seeds is not None:
-            currents, _ = self._seeded_compute(
-                batch, sample_seeds, want_outputs=True, want_totals=False
-            )
-        else:
-            state = self._realize_state()
-            self._n_operations += 1
-            currents, _ = self._product_kernels(
-                batch, state, want_outputs=True, want_totals=False
-            )
-            currents = self.backend.to_numpy(currents)
+        currents, _, single = self._traverse(
+            voltages, sample_seeds, want_outputs=True, want_totals=False
+        )
         return currents[0] if single else currents
 
     def total_current(
@@ -614,18 +569,9 @@ class CrossbarArray:
         with ``G_j`` the per-column conductance sum, plus optional measurement
         noise (drawn per row from ``sample_seeds`` streams when given).
         """
-        batch, single = self._validate_batch(voltages)
-        if sample_seeds is not None:
-            _, currents = self._seeded_compute(
-                batch, sample_seeds, want_outputs=False, want_totals=True
-            )
-        else:
-            state = self._realize_state()
-            self._n_operations += 1
-            _, currents = self._product_kernels(
-                batch, state, want_outputs=False, want_totals=True
-            )
-            currents = self.backend.to_numpy(self._apply_measurement_noise(currents))
+        _, currents, single = self._traverse(
+            voltages, sample_seeds, want_outputs=False, want_totals=True
+        )
         return float(currents[0]) if single else currents
 
     def matvec_with_current(
@@ -647,19 +593,9 @@ class CrossbarArray:
             ``(M,)`` and ``float`` for a single vector, ``(B, M)`` and
             ``(B,)`` for a batch.
         """
-        batch, single = self._validate_batch(voltages)
-        if sample_seeds is not None:
-            outputs, totals = self._seeded_compute(
-                batch, sample_seeds, want_outputs=True, want_totals=True
-            )
-        else:
-            state = self._realize_state()
-            self._n_operations += 1
-            outputs, totals = self._product_kernels(
-                batch, state, want_outputs=True, want_totals=True
-            )
-            outputs = self.backend.to_numpy(outputs)
-            totals = self.backend.to_numpy(self._apply_measurement_noise(totals))
+        outputs, totals, single = self._traverse(
+            voltages, sample_seeds, want_outputs=True, want_totals=True
+        )
         if single:
             return outputs[0], float(totals[0])
         return outputs, totals

@@ -1,14 +1,11 @@
-"""Self-contained shard programs: picklable crossbar state + pure kernels.
+"""Shard programs and the one shard kernel.
 
-PR 3 shipped multi-tile sharding as a re-tiling of *host* objects — each
-shard was a :class:`~repro.crossbar.array.CrossbarArray` slice living in the
-host process, which made a ``process``-mode
-:class:`~repro.experiments.runner.ParallelRunner` illegal (stateful RNG
-streams and operation counters cannot cross an address space).  This module
-extracts the programmed state into a frozen, picklable
-:class:`ShardProgram` and pure module-level kernels
-(:func:`run_shard` and friends), so a shard becomes a self-contained unit of
-physics that can execute in a worker process:
+A layer is placed on a grid of physical crossbar arrays (see
+:class:`~repro.crossbar.tile.CrossbarTile`).  Every shard of that grid is
+traversed through :func:`run_shard`, which accepts either the live host
+:class:`~repro.crossbar.array.CrossbarArray` or a :class:`ShardProgram`: a
+frozen, picklable snapshot of the shard's programmed physics that a worker
+process can execute without anything from the host's address space.
 
 * **Conductances** — the shard's ``G+`` / ``G-`` slices of the once-programmed
   full matrix (host numpy, read-only).
@@ -22,9 +19,9 @@ physics that can execute in a worker process:
   the *seeded* path stays bit-identical no matter where the kernel runs.
 
 Determinism contract: with ``sample_seeds`` given, or with a deterministic
-shard (no read noise, no measurement noise), ``run_shard`` is a pure
-function of ``(program, voltages, sample_seeds)`` — bitwise identical in a
-worker process and on the host.  An *unseeded stochastic* call needs fresh
+shard (no read noise, no measurement noise), ``run_shard`` on a program is a
+pure function of ``(program, voltages, sample_seeds)`` — bitwise identical in
+a worker process and on the host.  An *unseeded stochastic* call needs fresh
 noise per invocation; the dispatching tile draws a per-call ``rng_seed``
 from the host shard's own generator and ships it with the job, keeping the
 statefulness host-side (statistically fresh draws, not bitwise equal to the
@@ -34,7 +31,7 @@ serial path — which is itself a fresh-draw path).
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -48,8 +45,6 @@ __all__ = [
     "NonPicklableShardError",
     "ShardProgram",
     "run_shard",
-    "run_shard_matvec",
-    "run_shard_total_current",
 ]
 
 
@@ -179,11 +174,9 @@ class ShardProgram:
         the programmed matrix (the unsharded single-tile path) gets the
         resolved value pinned here, so the snapshot is self-contained.
         """
-        from dataclasses import replace as _replace
-
         mapping = array.mapping
         if mapping.weight_scale is None and array._reference_weights is not None:
-            mapping = _replace(
+            mapping = replace(
                 mapping,
                 weight_scale=mapping.resolve_weight_scale(
                     array._reference_weights
@@ -259,35 +252,37 @@ class ShardProgram:
         return array
 
 
-def _materialized(program: ShardProgram, rng_seed) -> CrossbarArray:
-    random_state = None if rng_seed is None else np.random.default_rng(int(rng_seed))
-    return program.materialize(random_state=random_state)
+#: ``want`` -> the :class:`CrossbarArray` entry point that yields it.  Looked
+#: up by name at call time, so the fused traversal always enters
+#: :meth:`CrossbarArray.matvec_with_current` as bound on the class.
+_ENTRY_POINTS = {
+    "outputs": "matvec",
+    "totals": "total_current",
+    "both": "matvec_with_current",
+}
 
 
-def run_shard(program: ShardProgram, voltages, sample_seeds=None, rng_seed=None):
-    """Pure fused shard kernel: ``(outputs, total_current)`` in one pass.
-
-    The process-parallel counterpart of the host-side fused
-    :meth:`~repro.crossbar.array.CrossbarArray.matvec_with_current`: the
-    worker materialises the program, traverses the devices once, and returns
-    host numpy results.  With ``sample_seeds`` (or a deterministic program)
-    the result is a pure function of the arguments — bitwise identical to
-    the host path.  ``rng_seed`` seeds the unseeded stochastic path's
-    generator for this one call (drawn host-side by the dispatcher).
-    """
-    array = _materialized(program, rng_seed)
-    return array.matvec_with_current(voltages, sample_seeds=sample_seeds)
-
-
-def run_shard_matvec(program: ShardProgram, voltages, sample_seeds=None, rng_seed=None):
-    """Pure shard kernel for output currents only (Eq. 3)."""
-    array = _materialized(program, rng_seed)
-    return array.matvec(voltages, sample_seeds=sample_seeds)
-
-
-def run_shard_total_current(
-    program: ShardProgram, voltages, sample_seeds=None, rng_seed=None
+def run_shard(
+    target: Union[CrossbarArray, ShardProgram],
+    voltages,
+    sample_seeds=None,
+    rng_seed=None,
+    *,
+    want: str = "both",
 ):
-    """Pure shard kernel for the power side channel only (Eq. 5)."""
-    array = _materialized(program, rng_seed)
-    return array.total_current(voltages, sample_seeds=sample_seeds)
+    """The one shard kernel: traverse a live array or a shipped program once.
+
+    ``want`` selects the observables: ``"outputs"`` (output currents, Eq. 3),
+    ``"totals"`` (supply current, Eq. 5) or ``"both"`` (the fused
+    ``(outputs, total_current)`` pair from one realization).  A
+    :class:`ShardProgram` is materialised first, so a worker process needs
+    nothing from the host's address space; with ``sample_seeds`` (or a
+    deterministic program) the result is then a pure function of the
+    arguments, bitwise identical to the host path.  ``rng_seed`` seeds the
+    materialised array's generator for this one call (drawn host-side by
+    the dispatcher for unseeded stochastic programs).
+    """
+    if isinstance(target, ShardProgram):
+        rng = None if rng_seed is None else np.random.default_rng(int(rng_seed))
+        target = target.materialize(random_state=rng)
+    return getattr(target, _ENTRY_POINTS[want])(voltages, sample_seeds=sample_seeds)

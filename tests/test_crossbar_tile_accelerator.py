@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.correlation import pearson_correlation
 from repro.crossbar.accelerator import CrossbarAccelerator
 from repro.crossbar.adc_dac import ADC, DAC
+from repro.crossbar.array import CrossbarArray
 from repro.crossbar.devices import IDEAL_DEVICE
 from repro.crossbar.mapping import ConductanceMapping
 from repro.crossbar.nonidealities import NonidealityConfig
@@ -32,7 +36,7 @@ class TestCrossbarTile:
         layer = Dense(5, 3, activation="linear", use_bias=True, random_state=0)
         layer.set_weights(rng.normal(size=(3, 5)), bias=rng.normal(size=3))
         tile = CrossbarTile(layer, random_state=0)
-        assert tile.array.n_columns == 6
+        assert tile.physical_arrays[0].n_columns == 6
         inputs = rng.uniform(0, 1, size=(4, 5))
         np.testing.assert_allclose(tile.forward(inputs), layer.forward(inputs), atol=1e-10)
 
@@ -71,6 +75,70 @@ class TestCrossbarTile:
         tile = CrossbarTile(Dense(6, 3, random_state=0), random_state=0)
         with pytest.raises(ValueError):
             tile.forward(rng.uniform(size=(2, 7)))
+
+
+class TestSingleArrayTileProperty:
+    """A default (1x1) tile is one programmed array behind the DAC/ADC/activation."""
+
+    @given(
+        n_inputs=st.integers(1, 12),
+        n_outputs=st.integers(1, 8),
+        use_bias=st.booleans(),
+        read_noise=st.sampled_from([0.0, 0.05]),
+        measurement_noise=st.sampled_from([0.0, 0.03]),
+        seeded=st.booleans(),
+        with_adc=st.booleans(),
+        batch=st.integers(1, 64),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_default_tile_is_bitwise_one_array(
+        self, n_inputs, n_outputs, use_bias, read_noise, measurement_noise,
+        seeded, with_adc, batch, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        layer = Dense(n_inputs, n_outputs, activation="relu", use_bias=use_bias,
+                      random_state=seed)
+        if use_bias:
+            layer.set_weights(layer.weights, bias=rng.normal(size=n_outputs))
+        mapping = ConductanceMapping(device=IDEAL_DEVICE.with_noise(read_noise=read_noise))
+        nonidealities = NonidealityConfig(current_measurement_noise=measurement_noise)
+        adc = ADC(n_bits=6, current_range=(-2.0, 2.0)) if with_adc else None
+        tile = CrossbarTile(layer, mapping=mapping, nonidealities=nonidealities, adc=adc,
+                            random_state=np.random.default_rng(seed))
+
+        weights = layer.weights
+        if use_bias:
+            weights = np.concatenate([weights, layer.bias[:, np.newaxis]], axis=1)
+        array = CrossbarArray(weights, mapping=mapping, nonidealities=nonidealities,
+                              random_state=np.random.default_rng(seed))
+        to_logical = 1.0 / mapping.conductance_per_unit_weight(weights)
+
+        inputs = rng.uniform(0, 1, size=(batch, n_inputs))
+        voltages = DAC().convert(inputs)
+        if use_bias:
+            voltages = np.concatenate([voltages, np.ones((batch, 1))], axis=1)
+        seeds = rng.integers(0, 2**32, size=batch) if seeded else None
+
+        def logical(currents):
+            if adc is not None:
+                currents = adc.convert(currents)
+            return tile.activation.forward(currents * to_logical)
+
+        np.testing.assert_array_equal(
+            tile.forward_batch(inputs, sample_seeds=seeds),
+            logical(array.matvec(voltages, sample_seeds=seeds)),
+        )
+        outputs, shard_currents = tile.forward_with_power_shards(inputs, sample_seeds=seeds)
+        currents, totals = array.matvec_with_current(voltages, sample_seeds=seeds)
+        np.testing.assert_array_equal(outputs, logical(currents))
+        np.testing.assert_array_equal(shard_currents, totals[:, np.newaxis])
+        np.testing.assert_array_equal(
+            tile.total_current(inputs, sample_seeds=seeds),
+            array.total_current(voltages, sample_seeds=seeds),
+        )
+        assert tile.n_array_operations == array.n_operations == 3
+        assert tile.n_array_realizations == array.n_realizations
 
 
 class TestCrossbarAccelerator:
@@ -139,5 +207,5 @@ class TestCrossbarAccelerator:
         probes = np.eye(n_features)
         currents = balanced.total_current(probes)
         norms = weight_column_norms(trained_linear.weights)
-        correlation = abs(np.corrcoef(currents, norms)[0, 1])
+        correlation = abs(pearson_correlation(currents, norms))
         assert currents.std() / currents.mean() < 1e-6 or correlation < 0.2

@@ -27,9 +27,7 @@ from repro.crossbar import (
     CrossbarTile,
     NonPicklableShardError,
     ShardProgram,
-    ShardedTileGroup,
     ShardingSpec,
-    build_tile,
     reduce_partial_sums,
     run_shard,
 )
@@ -190,7 +188,7 @@ class TestBitIdentity:
     def test_column_conductance_sums_reassembled(self, rng):
         layer = Dense(13, 7, activation="linear", use_bias=True, random_state=0)
         single = CrossbarTile(layer, random_state=0)
-        group = ShardedTileGroup(layer, ShardingSpec.grid(3, 2), random_state=0)
+        group = CrossbarTile(layer, ShardingSpec.grid(3, 2), random_state=0)
         # Same seed => same programming pass => identical devices, so the
         # reassembled column sums are bitwise equal (pure row-sum splits).
         assert group.column_conductance_sums.shape == (13,)
@@ -376,6 +374,31 @@ class TestShardRunners:
         accelerator.forward_with_power(dyadic_inputs(rng, 3))
         assert accelerator.n_array_operations == 4
 
+    @pytest.mark.parametrize("read_noise", [0.0, 0.05], ids=["ideal", "read-noise"])
+    def test_process_runner_counters_match_serial(self, read_noise, rng):
+        """One counting rule serves both address spaces: a read-noise-free
+        shard is realised once and cached, a noisy one once per unseeded
+        call and once per row of a seeded call."""
+        network = dyadic_network(rng)
+        inputs = dyadic_inputs(rng, 3)
+        seeds = np.arange(3, dtype=np.uint64)
+        mapping = ConductanceMapping(device=IDEAL_DEVICE.with_noise(read_noise=read_noise))
+        counters = []
+        for runner in (None, ParallelRunner(mode="process", max_workers=2)):
+            accelerator = CrossbarAccelerator(
+                network,
+                mapping=mapping,
+                sharding=ShardingSpec.grid(2, 2),
+                shard_runner=runner,
+                random_state=0,
+            )
+            for sample_seeds in (None, seeds, None):
+                accelerator.forward_with_power(inputs, sample_seeds=sample_seeds)
+            tile = accelerator.tiles[0]
+            counters.append((tile.n_array_operations, tile.n_array_realizations))
+        expected_reads = 4 if read_noise == 0 else 4 * (1 + 3 + 1)
+        assert counters[0] == counters[1] == (12, expected_reads)
+
     def test_non_picklable_backend_rejected_with_typed_error(self):
         """A device-resident backend fails fast with NonPicklableShardError."""
         layer = Dense(8, 4, random_state=0)
@@ -392,12 +415,12 @@ class TestShardRunners:
         layer = Dense(8, 4, random_state=0)
         reference = CrossbarTile(layer, random_state=0).shard_programs()[0]
         monkeypatch.setattr(
-            ShardedTileGroup,
+            CrossbarTile,
             "shard_programs",
             lambda self: [dataclasses.replace(reference, backend="cupy")],
         )
         with pytest.raises(NonPicklableShardError, match="cupy"):
-            ShardedTileGroup(
+            CrossbarTile(
                 layer,
                 ShardingSpec.grid(2, 2),
                 runner=ParallelRunner(mode="process"),
@@ -427,8 +450,9 @@ class TestShardPrograms:
         program = tile.shard_programs()[0]
         voltages = rng.uniform(0, 1, size=(4, 12))
         out_kernel, cur_kernel = run_shard(program, voltages)
-        np.testing.assert_array_equal(out_kernel, tile.array.matvec(voltages))
-        np.testing.assert_array_equal(cur_kernel, tile.array.total_current(voltages))
+        array = tile.physical_arrays[0]
+        np.testing.assert_array_equal(out_kernel, array.matvec(voltages))
+        np.testing.assert_array_equal(cur_kernel, array.total_current(voltages))
 
     def test_conductances_are_frozen_copies(self, rng):
         layer = Dense(8, 4, random_state=0)
@@ -449,7 +473,7 @@ class TestShardPrograms:
 
     def test_sharded_group_exposes_one_program_per_shard(self, rng):
         layer = Dense(12, 6, activation="linear", random_state=0)
-        group = ShardedTileGroup(layer, ShardingSpec.grid(2, 3), random_state=0)
+        group = CrossbarTile(layer, ShardingSpec.grid(2, 3), random_state=0)
         programs = group.shard_programs()
         assert len(programs) == 6
         for program, array in zip(programs, group.physical_arrays):
@@ -466,8 +490,9 @@ class TestAcceleratorShardingArgument:
         accelerator = CrossbarAccelerator(
             network, sharding=[ShardingSpec.grid(2, 2), None], random_state=0
         )
-        assert isinstance(accelerator.tiles[0], ShardedTileGroup)
-        assert type(accelerator.tiles[1]) is CrossbarTile
+        assert accelerator.tiles[0].sharding == ShardingSpec.grid(2, 2)
+        assert accelerator.tiles[1].sharding.is_trivial
+        assert accelerator.tiles[1].n_physical_tiles == 1
         assert accelerator.n_tiles == 2
         assert accelerator.n_physical_tiles == 5
         assert accelerator.tile_labels == (
@@ -487,13 +512,17 @@ class TestAcceleratorShardingArgument:
     def test_trivial_spec_builds_plain_tiles(self):
         network = Sequential([Dense(8, 4, random_state=0)])
         accelerator = CrossbarAccelerator(network, sharding=ShardingSpec(), random_state=0)
-        assert type(accelerator.tiles[0]) is CrossbarTile
+        assert accelerator.tiles[0].sharding.is_trivial
+        assert accelerator.tiles[0].n_physical_tiles == 1
+        assert accelerator.tile_labels == ("layer0",)
 
-    def test_build_tile_factory(self):
+    def test_tile_sharding_argument(self):
         layer = Dense(8, 4, random_state=0)
-        assert type(build_tile(layer, random_state=0)) is CrossbarTile
-        group = build_tile(layer, sharding=ShardingSpec.rows(2), random_state=0)
-        assert isinstance(group, ShardedTileGroup)
+        single = CrossbarTile(layer, random_state=0)
+        assert single.sharding.is_trivial and single.n_physical_tiles == 1
+        group = CrossbarTile(layer, ShardingSpec.rows(2), random_state=0)
+        assert group.sharding == ShardingSpec.rows(2)
+        assert group.n_physical_tiles == 2
         assert group.shard_shapes == [(2, 8), (2, 8)]
 
 
@@ -754,7 +783,7 @@ class TestShardedScenarios:
     def test_build_accelerator_applies_sharding(self, trained_softmax):
         spec = SCENARIOS["sharded-2x2"]
         accelerator = spec.build_accelerator(trained_softmax, random_state=0)
-        assert all(isinstance(tile, ShardedTileGroup) for tile in accelerator.tiles)
+        assert all(tile.sharding == spec.sharding for tile in accelerator.tiles)
         assert accelerator.n_physical_tiles == 4 * accelerator.n_tiles
 
     @pytest.mark.experiments
