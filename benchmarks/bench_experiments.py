@@ -2,7 +2,7 @@
 
 Runs every registered experiment through :func:`run_experiments` at ``smoke``
 scale on one paper scenario, once serially and once on a
-``ParallelRunner(mode="process")`` pool, asserts the results are
+``PoolExecutor(mode="process")`` pool, asserts the results are
 bit-identical, and records both wall times (plus the identity check) into
 ``BENCH_engine.json`` under ``bench_experiments`` so
 ``scripts/check_bench_regression.py`` can gate on them across PRs.
@@ -21,13 +21,16 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_engine
 
-from repro.experiments import ParallelRunner, list_experiments, run_experiments
+from repro.executor import PoolExecutor
+from repro.experiments import list_experiments, run_experiments
 
 SCENARIOS = ("paper/mnist-softmax",)
 
 
-def _run_all(runner=None):
-    return run_experiments(None, "smoke", runner=runner, scenarios=SCENARIOS, base_seed=0)
+def _run_all(executor=None):
+    return run_experiments(
+        None, "smoke", executor=executor, scenarios=SCENARIOS, base_seed=0
+    )
 
 
 def _results_identical(a, b) -> bool:
@@ -59,9 +62,10 @@ def test_experiments_registry_sweep(single_round, benchmark):
     serial = single_round(_run_all)
     serial_s = time.perf_counter() - start
 
-    runner = ParallelRunner(mode="process")
+    executor = PoolExecutor(mode="process")
+    runner = executor.runner
     start = time.perf_counter()
-    parallel = _run_all(runner)
+    parallel = _run_all(executor)
     parallel_s = time.perf_counter() - start
 
     identical = _results_identical(serial, parallel)

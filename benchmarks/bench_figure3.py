@@ -1,15 +1,21 @@
 """Benchmark regenerating Figure 3 (sensitivity maps vs 1-norm maps)."""
 
-from repro.experiments.figure3 import format_figure3, run_figure3
+from repro.executor import PoolExecutor
+from repro.experiments import get_experiment
 
 
 def test_figure3(single_round, benchmark):
     """Figure 3: mean-sensitivity and column-1-norm maps for the 4 configurations."""
-    result = single_round(run_figure3, "bench")
+    experiment = get_experiment("figure3")
+    result = single_round(experiment.run, "bench", executor=PoolExecutor(mode="process"))
     print()
-    print(format_figure3(result))
+    print(experiment.format_result(result))
 
-    for (dataset, activation), summary in result.summaries.items():
+    summaries = {
+        (panel["dataset"], panel["activation"]): panel
+        for panel in result.summary["panels"]
+    }
+    for (dataset, activation), summary in summaries.items():
         key = f"{dataset}/{activation}"
         benchmark.extra_info[f"{key}/map_correlation"] = round(
             float(summary["map_correlation"]), 3
@@ -19,10 +25,10 @@ def test_figure3(single_round, benchmark):
         )
 
     # Visible correlation between the two maps in every panel pair.
-    for summary in result.summaries.values():
+    for summary in summaries.values():
         assert summary["map_correlation"] > 0.3
     # MNIST's 1-norm map is smoother than CIFAR's (Section III discussion).
     assert (
-        result.summaries[("mnist-like", "softmax")]["norm_smoothness"]
-        < result.summaries[("cifar-like", "softmax")]["norm_smoothness"]
+        summaries[("mnist-like", "softmax")]["norm_smoothness"]
+        < summaries[("cifar-like", "softmax")]["norm_smoothness"]
     )

@@ -8,7 +8,7 @@ benefit from power information).
 Ported to the batched engine: every oracle interaction is one batched
 ``Oracle.query`` per query set (single fused traversal for power-exposed
 hardware targets), and the independent seeds of each row execute on a
-:class:`~repro.experiments.runner.ParallelRunner` process pool.  Wall times
+process-mode :class:`~repro.executor.PoolExecutor`.  Wall times
 are recorded into ``BENCH_engine.json`` for before/after comparison.
 """
 
@@ -16,18 +16,26 @@ import sys
 import time
 from pathlib import Path
 
+from repro.executor import PoolExecutor
+from repro.experiments import get_experiment
 from repro.experiments.config import resolve_scale
-from repro.experiments.figure5 import format_figure5, run_figure5
-from repro.experiments.runner import ParallelRunner
+from repro.experiments.figure5 import Figure5Row
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_engine
 
-RUNNER = ParallelRunner(mode="process")
+EXECUTOR = PoolExecutor(mode="process")
+EXPERIMENT = get_experiment("figure5")
 
 
-def _record(benchmark, result):
-    for (dataset, mode), row in result.rows.items():
+def _rows(result):
+    """The assembled rows keyed by (dataset, output mode)."""
+    rows = (Figure5Row.from_summary(entry) for entry in result.summary["rows"])
+    return {(row.dataset, row.output_mode): row for row in rows}
+
+
+def _record(benchmark, rows):
+    for (dataset, mode), row in rows.items():
         for lam in row.power_loss_weights:
             curve = row.mean_adversarial_curve(lam)
             benchmark.extra_info[f"{dataset}/{mode}/lambda={lam:g}/final_adv_acc"] = round(
@@ -39,27 +47,28 @@ def test_figure5_mnist_rows(single_round, benchmark):
     """Figure 5 rows 1-2: MNIST with label-only and raw-output oracles."""
     start = time.perf_counter()
     result = single_round(
-        run_figure5,
+        EXPERIMENT.run,
         "bench",
         rows=(("mnist-like", "label"), ("mnist-like", "raw")),
-        runner=RUNNER,
+        executor=EXECUTOR,
     )
     bench_engine.record_timings(
         "bench_figure5_mnist",
-        {"elapsed_s": time.perf_counter() - start, "runner_mode": RUNNER.mode},
+        {"elapsed_s": time.perf_counter() - start, "runner_mode": EXECUTOR.runner.mode},
     )
     print()
-    print(format_figure5(result))
-    _record(benchmark, result)
+    print(EXPERIMENT.format_result(result))
+    rows = _rows(result)
+    _record(benchmark, rows)
 
     # Paper-shape checks: more queries -> better surrogate; the attack hurts
     # the oracle; with the label-only oracle at the largest bench query budget
     # the power term must not make the attack worse.
-    for row in result.rows.values():
+    for row in rows.values():
         baseline_surrogate = row.mean_surrogate_curve(0.0)
         assert baseline_surrogate[-1] > baseline_surrogate[0]
         assert min(row.mean_adversarial_curve(0.0)) < row.oracle_clean_accuracy
-    label_row = result.row("mnist-like", "label")
+    label_row = rows[("mnist-like", "label")]
     best_lambda = max(label_row.power_loss_weights)
     assert (
         label_row.mean_adversarial_curve(best_lambda)[-1]
@@ -79,19 +88,20 @@ def test_figure5_cifar_rows(single_round, benchmark):
     )
     start = time.perf_counter()
     result = single_round(
-        run_figure5,
+        EXPERIMENT.run,
         scale,
         rows=(("cifar-like", "label"), ("cifar-like", "raw")),
-        runner=RUNNER,
+        executor=EXECUTOR,
     )
     bench_engine.record_timings(
         "bench_figure5_cifar",
-        {"elapsed_s": time.perf_counter() - start, "runner_mode": RUNNER.mode},
+        {"elapsed_s": time.perf_counter() - start, "runner_mode": EXECUTOR.runner.mode},
     )
     print()
-    print(format_figure5(result))
-    _record(benchmark, result)
+    print(EXPERIMENT.format_result(result))
+    rows = _rows(result)
+    _record(benchmark, rows)
 
-    for row in result.rows.values():
+    for row in rows.values():
         # The attack still transfers to the CIFAR oracle...
         assert min(row.mean_adversarial_curve(0.0)) < row.oracle_clean_accuracy

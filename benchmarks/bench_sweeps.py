@@ -1,7 +1,7 @@
 """Benchmark the scenario-sweep subsystem: curve sanity, serial vs pool.
 
 Runs the ``sweep-adc-bits`` experiment at ``smoke`` scale once serially and
-once on a ``ParallelRunner(mode="process")`` pool, asserts the results are
+once on a ``PoolExecutor(mode="process")`` pool, asserts the results are
 bit-identical, checks the leakage curve is monotonicity-sane (leakage must
 not degrade as the attacker's acquisition ADC gains bits, and the most
 faithful setting must leak strictly more than the most degraded one), and
@@ -18,7 +18,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_engine
 
-from repro.experiments import ParallelRunner, get_experiment
+from repro.executor import PoolExecutor
+from repro.experiments import get_experiment
 
 SWEEP_NAME = "sweep-adc-bits"
 
@@ -30,8 +31,8 @@ MONOTONE_TOLERANCE = 0.05
 MIN_CURVE_RISE = 0.01
 
 
-def _run(runner=None):
-    return get_experiment(SWEEP_NAME).run("smoke", runner=runner, base_seed=0)
+def _run(executor=None):
+    return get_experiment(SWEEP_NAME).run("smoke", executor=executor, base_seed=0)
 
 
 def _results_identical(a, b) -> bool:
@@ -59,9 +60,8 @@ def test_sweep_curve_and_parallel_identity(single_round, benchmark):
     serial = single_round(_run)
     serial_s = time.perf_counter() - start
 
-    runner = ParallelRunner(mode="process")
     start = time.perf_counter()
-    parallel = _run(runner)
+    parallel = _run(PoolExecutor(mode="process"))
     parallel_s = time.perf_counter() - start
 
     identical = _results_identical(serial, parallel)

@@ -1,15 +1,18 @@
 """Benchmark regenerating Table I (sensitivity / 1-norm correlations)."""
 
-from repro.experiments.table1 import format_table1, run_table1
+from repro.executor import PoolExecutor
+from repro.experiments import get_experiment
 
 
 def test_table1(single_round, benchmark):
     """Table I: correlation between loss sensitivity and weight-column 1-norms."""
-    result = single_round(run_table1, "bench")
+    experiment = get_experiment("table1")
+    result = single_round(experiment.run, "bench", executor=PoolExecutor(mode="process"))
     print()
-    print(format_table1(result))
+    print(experiment.format_result(result))
 
-    for row in result.rows:
+    rows = result.summary["rows"]
+    for row in rows:
         key = f"{row['dataset']}/{row['activation']}"
         benchmark.extra_info[f"{key}/mean_corr_test"] = round(
             float(row["mean_correlation_test"]), 3
@@ -19,6 +22,6 @@ def test_table1(single_round, benchmark):
         )
 
     # The paper's qualitative claims must hold in the regenerated table.
-    for row in result.rows:
+    for row in rows:
         assert row["correlation_of_mean_test"] > row["mean_correlation_test"]
         assert row["correlation_of_mean_test"] > 0.5

@@ -7,7 +7,7 @@ hardware designer's follow-up questions:
 * How does the leak change with a balanced (constant-power) mapping?
 * How much measurement noise can the attacker tolerate?
 * What do realistic ReRAM/PCM device models (write noise, quantization,
-  stuck devices) do to the leaked signal?
+  stuck devices) and IR drop along the wires do to the leaked signal?
 
 Run with:  python examples/hardware_design_space.py
 """
@@ -56,8 +56,11 @@ def main() -> None:
         "ideal + 5% stuck-off devices": dict(
             nonidealities=NonidealityConfig(stuck_at_off_fraction=0.05)
         ),
-        "ideal + IR drop (wire R)": dict(
-            nonidealities=NonidealityConfig(wire_resistance=0.05)
+        "ideal + IR drop (1e-6 ohm/cell)": dict(
+            nonidealities=NonidealityConfig(wire_resistance_ohm=1e-6)
+        ),
+        "ideal + IR drop (1e-5 ohm/cell)": dict(
+            nonidealities=NonidealityConfig(wire_resistance_ohm=1e-5)
         ),
     }
 
@@ -80,7 +83,9 @@ def main() -> None:
     print(
         "\nThe min-power mapping leaks the column 1-norms almost perfectly; the "
         "balanced mapping is an effective (but power-hungry) countermeasure, and "
-        "realistic device non-idealities only mildly blur the side channel."
+        "realistic device non-idealities only mildly blur the side channel until "
+        "the wire resistance is large enough for IR drop to distort the column "
+        "currents (at the cost of output fidelity)."
     )
 
 

@@ -11,16 +11,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments import (
-    format_figure3,
-    format_figure4,
-    format_figure5,
-    format_table1,
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_table1,
-)
+from repro.executor import PoolExecutor
+from repro.experiments import get_experiment
 from repro.experiments.config import resolve_scale
 
 
@@ -28,27 +20,6 @@ def main() -> None:
     output_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results")
     output_dir.mkdir(parents=True, exist_ok=True)
 
-    steps = []
-
-    start = time.time()
-    table1 = run_table1("bench")
-    steps.append(("table1.txt", format_table1(table1), time.time() - start))
-
-    start = time.time()
-    figure3 = run_figure3("bench")
-    steps.append(("figure3.txt", format_figure3(figure3), time.time() - start))
-
-    start = time.time()
-    figure4 = run_figure4("bench")
-    steps.append(("figure4.txt", format_figure4(figure4), time.time() - start))
-
-    start = time.time()
-    figure5_mnist = run_figure5(
-        "bench", rows=(("mnist-like", "label"), ("mnist-like", "raw"))
-    )
-    steps.append(("figure5_mnist.txt", format_figure5(figure5_mnist), time.time() - start))
-
-    start = time.time()
     cifar_scale = resolve_scale("bench").with_overrides(
         n_train=1500,
         n_test=300,
@@ -57,15 +28,31 @@ def main() -> None:
         power_loss_weights=(0.0, 0.01),
         surrogate_epochs=200,
     )
-    figure5_cifar = run_figure5(
-        cifar_scale, rows=(("cifar-like", "label"), ("cifar-like", "raw"))
+    reports = (
+        ("table1.txt", "table1", "bench", {}),
+        ("figure3.txt", "figure3", "bench", {}),
+        ("figure4.txt", "figure4", "bench", {}),
+        (
+            "figure5_mnist.txt",
+            "figure5",
+            "bench",
+            {"rows": (("mnist-like", "label"), ("mnist-like", "raw"))},
+        ),
+        (
+            "figure5_cifar.txt",
+            "figure5",
+            cifar_scale,
+            {"rows": (("cifar-like", "label"), ("cifar-like", "raw"))},
+        ),
     )
-    steps.append(("figure5_cifar.txt", format_figure5(figure5_cifar), time.time() - start))
-
-    for filename, text, elapsed in steps:
+    executor = PoolExecutor(mode="process")
+    for filename, name, scale, options in reports:
+        experiment = get_experiment(name)
+        start = time.time()
+        result = experiment.run(scale, executor=executor, **options)
         path = output_dir / filename
-        path.write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {path}  ({elapsed:.1f}s)")
+        path.write_text(experiment.format_result(result) + "\n", encoding="utf-8")
+        print(f"wrote {path}  ({time.time() - start:.1f}s)")
 
 
 if __name__ == "__main__":

@@ -341,20 +341,6 @@ class CrossbarArray:
         g_minus = self.device.apply_read_noise(self.g_minus, rng)
         return g_plus, g_minus
 
-    def _ir_drop_attenuation(self, g_plus: np.ndarray, g_minus: np.ndarray) -> np.ndarray:
-        """First-order IR-drop attenuation per column.
-
-        Columns further from the driver (higher index) see more wire
-        resistance; the attenuation factor is
-        ``1 / (1 + R_wire * G_col_total * position)``.
-        """
-        resistance = self.nonidealities.wire_resistance
-        if resistance == 0:
-            return np.ones(self.n_columns)
-        column_g = (g_plus + g_minus).sum(axis=0)
-        positions = np.arange(1, self.n_columns + 1)
-        return 1.0 / (1.0 + resistance * column_g * positions)
-
     def _wire_droop(
         self, g_plus: np.ndarray, g_minus: np.ndarray
     ) -> Optional[np.ndarray]:
@@ -390,20 +376,18 @@ class CrossbarArray:
     def _effective(
         self, g_plus: np.ndarray, g_minus: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Attenuated differential matrix and column sums of one read.
+        """IR-drop-attenuated differential matrix and column sums of one read.
 
         The single effective-state computation behind both the cached state
         and the per-row seeded realisations.
         """
-        attenuation = self._ir_drop_attenuation(g_plus, g_minus)[np.newaxis, :]
+        g_diff = g_plus - g_minus
+        g_sum = g_plus + g_minus
         droop = self._wire_droop(g_plus, g_minus)
         if droop is not None:
-            g_diff = (g_plus - g_minus) * droop
-            g_sum = (g_plus + g_minus) * droop
-        else:
-            g_diff = g_plus - g_minus
-            g_sum = g_plus + g_minus
-        return g_diff * attenuation, (g_sum * attenuation).sum(axis=0)
+            g_diff = g_diff * droop
+            g_sum = g_sum * droop
+        return g_diff, g_sum.sum(axis=0)
 
     def _state(self, g_plus: np.ndarray, g_minus: np.ndarray) -> _EffectiveState:
         """One realised read as host state plus its device-resident operands.

@@ -23,19 +23,13 @@ class NonidealityConfig:
         Fraction of devices stuck at ``g_min`` (cannot be programmed).
     stuck_at_on_fraction:
         Fraction of devices stuck at ``g_max``.
-    wire_resistance:
-        Per-cell line resistance in ohms used by the IR-drop approximation.
-        ``0`` disables IR drop.  The approximation attenuates each column's
-        contribution by ``1 / (1 + R_wire * G_col * distance)`` which captures
-        the first-order effect of current flowing through shared wires.
     wire_resistance_ohm:
-        Per-unit-cell wire resistance (ohms) of the full two-dimensional
-        IR-drop model.  ``0`` disables it bitwise.  Unlike
-        :attr:`wire_resistance` (a per-column attenuation), this models the
-        voltage droop a cell at grid position ``(i, j)`` sees along *both*
-        the column wire feeding it (``i`` cells deep, loaded by the column's
-        total conductance) and the row wire collecting its current (``j``
-        cells long, loaded by the row's total conductance):
+        Per-unit-cell wire resistance (ohms) of the two-dimensional IR-drop
+        model.  ``0`` disables it bitwise.  It models the voltage droop a
+        cell at grid position ``(i, j)`` sees along *both* the column wire
+        feeding it (``i`` cells deep, loaded by the column's total
+        conductance) and the row wire collecting its current (``j`` cells
+        long, loaded by the row's total conductance):
         ``1 / (1 + R * (G_col[j] * (i+1) + G_row[i] * (j+1)))``.
         The droop therefore scales with the *physical* array dimensions —
         sharding a layer across smaller tiles shortens the wires and shrinks
@@ -52,7 +46,6 @@ class NonidealityConfig:
 
     stuck_at_off_fraction: float = 0.0
     stuck_at_on_fraction: float = 0.0
-    wire_resistance: float = 0.0
     wire_resistance_ohm: float = 0.0
     current_measurement_noise: float = 0.0
     temperature_drift: float = 0.0
@@ -62,7 +55,6 @@ class NonidealityConfig:
         check_probability(self.stuck_at_on_fraction, "stuck_at_on_fraction")
         if self.stuck_at_off_fraction + self.stuck_at_on_fraction > 1.0:
             raise ValueError("stuck-at fractions must sum to at most 1")
-        check_non_negative(self.wire_resistance, "wire_resistance")
         check_non_negative(self.wire_resistance_ohm, "wire_resistance_ohm")
         check_non_negative(self.current_measurement_noise, "current_measurement_noise")
         if self.temperature_drift < -1.0:
@@ -76,7 +68,6 @@ class NonidealityConfig:
         return (
             self.stuck_at_off_fraction == 0.0
             and self.stuck_at_on_fraction == 0.0
-            and self.wire_resistance == 0.0
             and self.wire_resistance_ohm == 0.0
             and self.current_measurement_noise == 0.0
             and self.temperature_drift == 0.0

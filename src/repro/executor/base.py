@@ -19,7 +19,7 @@ Three implementations ship:
 * :class:`SerialExecutor` — in-process loop (the debugging reference).
 * :class:`PoolExecutor` — wraps
   :class:`~repro.experiments.runner.ParallelRunner` (one host's
-  process/thread pool), bit-identical to the historical ``runner=`` path.
+  process/thread pool), bit-identical to the serial path.
 * :class:`~repro.executor.queue.QueueExecutor` — a TCP work-queue
   coordinator leasing job chunks to local or remote worker processes, with
   retries, heartbeat-based lease recovery and a resumable JSONL journal.
@@ -120,9 +120,8 @@ class Executor(ABC):
 def _job_runner(run_job: Optional[Callable]) -> Callable:
     """The per-job callable an executor actually invokes.
 
-    Wraps the experiment's ``run_job`` with the metadata annotation exactly
-    like the historical ``execute_jobs`` serial path, or falls back to the
-    registry-resolving trampoline.
+    Wraps the experiment's ``run_job`` with the metadata annotation, or
+    falls back to the registry-resolving trampoline.
     """
     from repro.experiments.base import _execute_job, _run_annotated
 
@@ -156,11 +155,12 @@ class SerialExecutor(Executor):
 class PoolExecutor(Executor):
     """One host's worker pool: a thin adapter over :class:`ParallelRunner`.
 
-    Submits the grid exactly like the historical ``execute_jobs(runner=...)``
-    path (same chunked ``runner.map`` call, same payload tuples), so results
-    are bit-identical to both the serial path and to pre-Executor releases.
-    Per-job progress is not available from a pool ``map``; hooks receive
-    ``start`` and ``done`` events only.
+    Submits the grid as one chunked ``runner.map`` call over
+    ``(run_job, job)`` payload tuples, so results are bit-identical to the
+    serial path.  Pass ``mode``/``max_workers`` to build the runner, or an
+    existing ``runner`` to reuse its configuration.  Per-job progress is not
+    available from a pool ``map``; hooks receive ``start`` and ``done``
+    events only.
     """
 
     name = "pool"
@@ -220,28 +220,3 @@ def resolve_executor(spec, **kwargs) -> Executor:
         return QueueExecutor(**kwargs)
     raise ValueError(f"unknown executor {spec!r}; available: {EXECUTOR_NAMES}")
 
-
-def coerce_executor(executor, runner, *, owner: str, warn: bool = True):
-    """Normalise the ``executor=`` / deprecated ``runner=`` pair of an API.
-
-    Returns an :class:`Executor` or ``None`` (pure serial).  Passing both is
-    an error; passing ``runner`` maps it onto a :class:`PoolExecutor` and —
-    unless ``warn=False`` (used by already-deprecated wrappers) — emits a
-    :class:`DeprecationWarning` naming the owning entry point.
-    """
-    if runner is None:
-        return executor
-    if executor is not None:
-        raise ValueError(
-            f"{owner}: pass either executor= or the deprecated runner=, not both"
-        )
-    if warn:
-        import warnings
-
-        warnings.warn(
-            f"{owner}: runner= is deprecated; pass "
-            "executor=repro.executor.PoolExecutor(runner) (or executor='process')",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return PoolExecutor(runner=runner)

@@ -8,9 +8,11 @@ in-process serial, one host's process/thread pool, or the distributed work
 queue (bit-identical results under every backend) — and assemble an
 :class:`~repro.experiments.base.ExperimentResult`.  The registry
 (:func:`get_experiment` / :func:`run_experiments`) plus the CLI
-(``python -m repro.experiments``) run any subset at any scale; the historical
-``run_*`` / ``format_*`` entry points remain as deprecated wrappers over
-:mod:`repro.experiments.compat`.
+(``python -m repro.experiments``) run any subset at any scale, and each
+experiment's ``format_result`` renders its paper-style report::
+
+    experiment = get_experiment("table1")
+    print(experiment.format_result(experiment.run("smoke")))
 """
 
 from repro.crossbar.mapping import ShardingSpec
@@ -28,7 +30,6 @@ from repro.experiments.runner import (
     ParallelRunner,
     prepare_model,
     prepare_dataset,
-    run_multi_seed,
     TrainedModel,
 )
 from repro.experiments.base import Experiment, ExperimentResult, Job, execute_jobs
@@ -57,10 +58,9 @@ from repro.experiments.sweep import (
     resolve_knob,
     swept_field,
 )
-from repro.experiments.table1 import run_table1, format_table1, Table1Result
-from repro.experiments.figure3 import run_figure3, format_figure3, Figure3Result
-from repro.experiments.figure4 import run_figure4, format_figure4, Figure4Result
-from repro.experiments.figure5 import run_figure5, format_figure5, Figure5Result
+# The paper pipelines register themselves on import; importing them with the
+# package keeps that cost out of the first experiment run.
+from repro.experiments import figure3, figure4, figure5, table1
 from repro.experiments.service_demo import ServiceAttackExperiment
 from repro.experiments.reporting import (
     format_curves_with_spread,
@@ -82,7 +82,6 @@ __all__ = [
     "ParallelRunner",
     "prepare_model",
     "prepare_dataset",
-    "run_multi_seed",
     "TrainedModel",
     "Experiment",
     "ExperimentResult",
@@ -107,18 +106,6 @@ __all__ = [
     "get_sweep",
     "resolve_knob",
     "swept_field",
-    "run_table1",
-    "format_table1",
-    "Table1Result",
-    "run_figure3",
-    "format_figure3",
-    "Figure3Result",
-    "run_figure4",
-    "format_figure4",
-    "Figure4Result",
-    "run_figure5",
-    "format_figure5",
-    "Figure5Result",
     "format_table",
     "format_series",
     "format_curves_with_spread",

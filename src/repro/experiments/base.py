@@ -10,8 +10,7 @@ protocol:
 * :meth:`Experiment.run_job` executes one job and returns a
   :class:`~repro.utils.results.RunResult` — it must be implemented so that
   ``run_job(job)`` is picklable (delegate to a module-level function), which
-  lets every pipeline run its jobs on a
-  :class:`~repro.experiments.runner.ParallelRunner` process pool;
+  lets every pipeline run its jobs on a process pool or a remote worker;
 * :meth:`Experiment.assemble` folds the ordered job results into an
   :class:`ExperimentResult`.
 
@@ -27,7 +26,7 @@ from __future__ import annotations
 import inspect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.experiments.config import ExperimentScale, resolve_scale
 from repro.experiments.scenario import ScenarioSpec, resolve_scenarios
@@ -148,11 +147,10 @@ class Experiment(ABC):
         """Expand a scale and scenario list into independent jobs.
 
         The default expansion is the common scenario x seed grid (seeds
-        derived once via :func:`seeds_for_runs`, shared by every scenario,
-        exactly like the historical ``run_multi_seed`` path); experiments
-        with a different job shape override this.  Overrides may accept
-        extra keyword options (forwarded from :meth:`run`); unknown options
-        raise :class:`TypeError` rather than being silently ignored.
+        derived once via :func:`seeds_for_runs`, shared by every scenario);
+        experiments with a different job shape override this.  Overrides may
+        accept extra keyword options (forwarded from :meth:`run`); unknown
+        options raise :class:`TypeError` rather than being silently ignored.
         """
         from repro.utils.rng import seeds_for_runs
 
@@ -251,7 +249,6 @@ class Experiment(ABC):
         *,
         scenarios=None,
         executor=None,
-        runner=None,
         base_seed: int = 0,
         **options,
     ) -> ExperimentResult:
@@ -270,11 +267,6 @@ class Experiment(ABC):
             or ``None`` for the in-process serial path.  Results are
             bit-identical under every backend (every job is seeded up front,
             results are collected in job order).
-        runner:
-            Deprecated alias: a
-            :class:`~repro.experiments.runner.ParallelRunner`, mapped onto a
-            :class:`~repro.executor.PoolExecutor`.  Pass ``executor=``
-            instead.
         base_seed:
             Root of the deterministic per-job seed derivation.
         options:
@@ -282,9 +274,6 @@ class Experiment(ABC):
             unknown names raise :class:`ValueError` here, naming the
             experiment and its accepted options.
         """
-        from repro.executor import coerce_executor
-
-        executor = coerce_executor(executor, runner, owner=f"{self.name}.run()")
         self._validate_run_options(options)
         scale = resolve_scale(scale)
         scenarios = resolve_scenarios(scenarios)
@@ -325,7 +314,6 @@ def execute_jobs(
     jobs: Sequence[Job],
     *,
     executor=None,
-    runner=None,
     run_job=None,
     on_progress=None,
     cancel=None,
@@ -335,9 +323,7 @@ def execute_jobs(
     ``executor`` is an :class:`~repro.executor.Executor` instance, a name
     understood by :func:`~repro.executor.resolve_executor` (``"serial"``,
     ``"process"``, ``"thread"``, ``"queue"``), or ``None`` for the
-    in-process serial path.  ``runner`` is the deprecated spelling (a
-    :class:`~repro.experiments.runner.ParallelRunner`), mapped onto a
-    :class:`~repro.executor.PoolExecutor`.
+    in-process serial path.
 
     When ``run_job`` (a module-level picklable function) is given, workers
     receive it directly with each job, so user-registered experiments work
@@ -347,9 +333,8 @@ def execute_jobs(
     registry.  ``on_progress`` / ``cancel`` are forwarded to the executor
     (see :mod:`repro.executor.base`).
     """
-    from repro.executor import coerce_executor, resolve_executor
+    from repro.executor import resolve_executor
 
-    executor = coerce_executor(executor, runner, owner="execute_jobs()")
     executor = resolve_executor(executor)
     return executor.submit_jobs(
         jobs, run_job=run_job, on_progress=on_progress, cancel=cancel

@@ -14,13 +14,12 @@ white-box bound.
 
 The pipeline is a registered :class:`~repro.experiments.base.Experiment`
 (``"figure4"``): each scenario x seed cell is one picklable job, so the whole
-sweep runs on a :class:`~repro.experiments.runner.ParallelRunner` process
-pool with results bit-identical to the serial path.
+sweep runs under any :class:`~repro.executor.Executor` backend with results
+bit-identical to the serial path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -33,13 +32,12 @@ from repro.experiments.base import (
     Job,
     group_results_by_scenario,
 )
-from repro.experiments.compat import deprecated_formatter, legacy_collision, run_legacy
 from repro.experiments.config import ExperimentScale
 from repro.experiments.registry import register
 from repro.experiments.reporting import format_series
 from repro.experiments.runner import prepare_dataset
 from repro.experiments.scenario import ScenarioSpec
-from repro.utils.results import RunResult, SweepResult
+from repro.utils.results import RunResult
 
 #: Figure 4 panel labels keyed by (dataset, activation).
 PANEL_LABELS: Dict[Tuple[str, str], str] = {
@@ -58,22 +56,7 @@ STRATEGIES: Tuple[SinglePixelStrategy, ...] = (
 )
 
 
-@dataclass
-class Figure4Result:
-    """Accuracy-vs-strength curves for every configuration and strategy."""
-
-    scale_name: str
-    attack_strengths: Tuple[float, ...]
-    #: curves[(dataset, activation)][strategy.paper_label] -> accuracy list
-    curves: Dict[Tuple[str, str], Dict[str, List[float]]] = field(default_factory=dict)
-    sweeps: Dict[Tuple[str, str], SweepResult] = field(default_factory=dict)
-
-    def curve(self, dataset: str, activation: str, strategy_label: str) -> List[float]:
-        """One accuracy-vs-strength curve."""
-        return self.curves[(dataset, activation)][strategy_label]
-
-
-def _run_figure4_job(job: Job) -> RunResult:
+def _figure4_job(job: Job) -> RunResult:
     """Train a victim, probe its power channel, and run all five strategies."""
     scenario, scale, seed = job.scenario, job.scale, job.seed
     dataset = prepare_dataset(scenario.dataset, scale, random_state=seed)
@@ -123,7 +106,7 @@ class Figure4Experiment(Experiment):
     name = "figure4"
     description = "Single-pixel attack accuracy vs strength, five strategies (Figure 4)"
 
-    run_job = staticmethod(_run_figure4_job)
+    run_job = staticmethod(_figure4_job)
 
     def assemble(
         self,
@@ -183,84 +166,3 @@ class Figure4Experiment(Experiment):
 
 
 register(Figure4Experiment)
-
-
-def _legacy_result(result: ExperimentResult) -> Figure4Result:
-    """Adapt an :class:`ExperimentResult` to the historical result type.
-
-    The legacy :class:`Figure4Result` is keyed by (dataset, activation);
-    scenario selections where two scenarios share that pair cannot be
-    represented and raise rather than silently overwriting each other.
-    """
-    output = Figure4Result(
-        scale_name=result.scale_name,
-        attack_strengths=tuple(result.summary.get("attack_strengths", ())),
-    )
-    for entry in result.summary.get("curves", []):
-        key = (entry["dataset"], entry["activation"])
-        if key in output.curves:
-            raise legacy_collision("figure4", key)
-        output.curves[key] = {
-            label: list(curve) for label, curve in entry["curves"].items()
-        }
-    for run in result.sweep:
-        key = (run.metadata.get("dataset"), run.metadata.get("activation"))
-        if key not in output.sweeps:
-            output.sweeps[key] = SweepResult(name=run.name)
-        output.sweeps[key].add(run)
-    return output
-
-
-def run_figure4(
-    scale="bench", *, base_seed: int = 0, runner=None, scenarios=None
-) -> Figure4Result:
-    """DEPRECATED: reproduce the Figure 4 curves (legacy-shaped result).
-
-    Use ``get_experiment("figure4").run(...)`` for scenario-keyed results;
-    this wrapper delegates through :func:`repro.experiments.compat.run_legacy`
-    and emits a :class:`DeprecationWarning`.
-    """
-    return run_legacy(
-        "figure4",
-        _legacy_result,
-        wrapper="run_figure4()",
-        scale=scale,
-        scenarios=scenarios,
-        runner=runner,
-        base_seed=base_seed,
-    )
-
-
-def _format_figure4(result: Figure4Result) -> str:
-    """Render one text panel per configuration (accuracy vs attack strength)."""
-    sections = []
-    for (dataset, activation), curves in result.curves.items():
-        panel = PANEL_LABELS.get((dataset, activation), "?")
-        sections.append(
-            format_series(
-                "strength",
-                list(result.attack_strengths),
-                curves,
-                title=(
-                    f"Figure 4({panel}) reproduction — {dataset}, {activation} output "
-                    f"(scale={result.scale_name})"
-                ),
-            )
-        )
-    return "\n\n".join(sections)
-
-
-#: DEPRECATED public spelling of :func:`_format_figure4`.
-format_figure4 = deprecated_formatter(
-    _format_figure4, "get_experiment('figure4').format_result(...)"
-)
-
-
-def main() -> None:  # pragma: no cover - console entry point
-    """Run the Figure 4 reproduction at bench scale and print the curves."""
-    result = _legacy_result(Figure4Experiment().run("bench"))
-    print(_format_figure4(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,12 +1,12 @@
-"""Shared experiment plumbing: dataset/model preparation and multi-seed runs.
+"""Shared experiment plumbing: dataset/model preparation and the worker pool.
 
-Multi-seed sweeps are embarrassingly parallel — every run receives an
+Experiment job grids are embarrassingly parallel — every job carries an
 independent, deterministically derived seed — so :class:`ParallelRunner` can
 execute them on a :mod:`concurrent.futures` worker pool (processes by
-default) without changing any result: the derived seeds, the per-run RNG
-streams and the order results are assembled in are identical to the serial
-path.  Figure/table sweeps therefore scale with cores simply by passing a
-runner to :func:`run_multi_seed` (or to ``run_figure5``).
+default) without changing any result: the seeds, the per-job RNG streams and
+the order results are assembled in are identical to the serial path.
+Experiments reach it through :class:`~repro.executor.PoolExecutor`
+(``experiment.run(..., executor=PoolExecutor(mode="process"))``).
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from repro.datasets import Dataset, load_dataset
 from repro.experiments.config import ExperimentScale
 from repro.nn.network import SingleLayerNetwork
 from repro.nn.trainer import train_single_layer
-from repro.utils.results import RunResult, SweepResult
-from repro.utils.rng import seeds_for_runs
 
 
 @dataclass
@@ -162,19 +160,6 @@ class ParallelRunner:
         """Process-mode chunk size: one contiguous block per worker."""
         return max(1, math.ceil(n_jobs / self.resolve_workers(n_jobs)))
 
-    def run_multi_seed(
-        self,
-        name: str,
-        run_fn: Callable[[int, int], RunResult],
-        *,
-        n_runs: int,
-        base_seed: Optional[int] = 0,
-    ) -> SweepResult:
-        """Parallel drop-in for :func:`run_multi_seed` (same results, ordered)."""
-        return run_multi_seed(
-            name, run_fn, n_runs=n_runs, base_seed=base_seed, runner=self
-        )
-
     @staticmethod
     def _picklable(fn: Callable, args_list: Sequence[tuple]) -> bool:
         """Probe process-pool compatibility cheaply.
@@ -191,31 +176,3 @@ class ParallelRunner:
             return False
         return True
 
-
-def run_multi_seed(
-    name: str,
-    run_fn: Callable[[int, int], RunResult],
-    *,
-    n_runs: int,
-    base_seed: Optional[int] = 0,
-    runner: Optional[ParallelRunner] = None,
-) -> SweepResult:
-    """Run ``run_fn(run_index, seed)`` for ``n_runs`` independent seeds.
-
-    The derived seeds are deterministic in ``base_seed`` so the whole sweep is
-    reproducible, while every run receives an independent stream.  Passing a
-    :class:`ParallelRunner` executes the runs on a worker pool; results are
-    assembled in run order either way, so the sweep is identical to a serial
-    one.
-    """
-    sweep = SweepResult(name=name, metadata={"n_runs": n_runs, "base_seed": base_seed})
-    seeds: List[int] = seeds_for_runs(base_seed, n_runs)
-    if runner is None:
-        results = [run_fn(run_index, seed) for run_index, seed in enumerate(seeds)]
-    else:
-        results = runner.map(run_fn, list(enumerate(seeds)))
-    for run_index, (seed, result) in enumerate(zip(seeds, results)):
-        result.metadata.setdefault("seed", seed)
-        result.metadata.setdefault("run_index", run_index)
-        sweep.add(result)
-    return sweep

@@ -54,12 +54,22 @@ _DEFENSES = ("norm-regularizer", "rebalance", "power-noise")
 
 #: Wire-physics knobs a dict-form ``sharding`` value may carry alongside the
 #: grid geometry; they are folded into :attr:`ScenarioSpec.nonidealities`.
-#: Only the 2-D IR-drop knob is accepted — the legacy 1-D ``wire_resistance``
-#: attenuation is a separate nonideality and must be set there explicitly.
+#: The IR-drop resistance is the only one: its droop depends on the shard
+#: geometry, so a sweep may set both together.
 _SHARDING_WIRE_KNOBS = ("wire_resistance_ohm",)
 
 #: Geometry keys of the dict form (the :meth:`ShardingSpec.to_dict` fields).
 _SHARDING_GEOMETRY_KEYS = ("row_shards", "col_shards", "reduction")
+
+
+def _reject_unknown_keys(payload: Dict[str, object], config_cls, label: str) -> None:
+    """Raise :class:`ValueError` naming any key that is not a field of ``config_cls``."""
+    known = {config_field.name for config_field in fields(config_cls)}
+    unknown = sorted(set(payload) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown {label} fields {unknown}; expected a subset of {sorted(known)}"
+        )
 
 
 def _coerce_scenario_sharding(value) -> Tuple[ShardingSpec, Dict[str, float]]:
@@ -302,20 +312,16 @@ class ScenarioSpec:
     def from_dict(cls, payload: Dict[str, object]) -> "ScenarioSpec":
         """Inverse of :meth:`to_dict` (nested configs are reconstructed).
 
-        Unknown keys are rejected (same contract as
+        Unknown keys are rejected, at the top level and inside the nested
+        ``nonidealities`` dict (same contract as
         :meth:`ServiceConfig.from_dict`): a typo'd knob in a serialised
         scenario must fail loudly, not be silently dropped.
         """
         kwargs = dict(payload)
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(kwargs) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown ScenarioSpec fields {unknown}; "
-                f"expected a subset of {sorted(known)}"
-            )
+        _reject_unknown_keys(kwargs, cls, "ScenarioSpec")
         nonidealities = kwargs.get("nonidealities")
         if isinstance(nonidealities, dict):
+            _reject_unknown_keys(nonidealities, NonidealityConfig, "NonidealityConfig")
             kwargs["nonidealities"] = NonidealityConfig(**nonidealities)
         # Dict-form sharding (including wire-physics knobs) is coerced by
         # ``__post_init__`` itself, so serialised payloads and literal specs

@@ -70,7 +70,7 @@ def resolve_knob(knob: str) -> str:
 
     Accepts a top-level field name (``measurement_noise``), a one-level
     nested path into a dataclass-valued field
-    (``nonidealities.wire_resistance``), or a :data:`KNOB_ALIASES` spelling.
+    (``nonidealities.wire_resistance_ohm``), or a :data:`KNOB_ALIASES` spelling.
     """
     path = KNOB_ALIASES.get(str(knob), str(knob))
     parts = path.split(".")

@@ -97,7 +97,7 @@ class TestNonidealities:
         ideal = CrossbarArray(weights, random_state=0)
         lossy = CrossbarArray(
             weights,
-            nonidealities=NonidealityConfig(wire_resistance=0.5),
+            nonidealities=NonidealityConfig(wire_resistance_ohm=0.5),
             random_state=0,
         )
         u = np.ones(6)
@@ -133,10 +133,15 @@ class TestNonidealities:
         with pytest.raises(ValueError):
             NonidealityConfig(stuck_at_off_fraction=0.7, stuck_at_on_fraction=0.7)
         with pytest.raises(ValueError):
-            NonidealityConfig(wire_resistance=-1.0)
+            NonidealityConfig(wire_resistance_ohm=-1.0)
         with pytest.raises(ValueError):
             NonidealityConfig(temperature_drift=-2.0)
 
+    def test_removed_1d_wire_resistance_rejected(self):
+        """Only the 2-D IR-drop model remains; the old 1-D knob is gone."""
+        with pytest.raises(TypeError, match="wire_resistance"):
+            NonidealityConfig(wire_resistance=0.1)
+
     def test_is_ideal_flag(self):
         assert NonidealityConfig().is_ideal
-        assert not NonidealityConfig(wire_resistance=1.0).is_ideal
+        assert not NonidealityConfig(wire_resistance_ohm=1.0).is_ideal

@@ -25,7 +25,6 @@ from repro.executor import (
     QueueExecutor,
     SerialExecutor,
     chunk_jobs,
-    coerce_executor,
     grid_fingerprint,
     read_journal,
     resolve_executor,
@@ -226,24 +225,6 @@ class TestResolveAndCoerce:
         assert resolve_executor(executor) is executor
         with pytest.raises(ValueError, match="existing"):
             resolve_executor(executor, max_workers=2)
-
-    def test_coerce_rejects_both(self):
-        with pytest.raises(ValueError, match="not both"):
-            coerce_executor(SerialExecutor(), ParallelRunner(mode="serial"), owner="x()")
-
-    def test_coerce_runner_warns_and_wraps(self):
-        runner = ParallelRunner(mode="serial")
-        with pytest.warns(DeprecationWarning, match="runner= is deprecated"):
-            executor = coerce_executor(None, runner, owner="x()")
-        assert isinstance(executor, PoolExecutor)
-        assert executor.runner is runner
-
-    def test_coerce_runner_silent_for_legacy_wrappers(self, recwarn):
-        executor = coerce_executor(
-            None, ParallelRunner(mode="serial"), owner="x()", warn=False
-        )
-        assert isinstance(executor, PoolExecutor)
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
 
 
 class TestSerialExecutor:
@@ -602,19 +583,13 @@ class TestWorkerCLI:
         assert args.workers == 3
         assert args.chunk_size == 2
 
-    def test_experiments_cli_mode_is_deprecated_alias(self):
-        from repro.experiments.cli import _build_executor, build_parser
+    def test_experiments_cli_rejects_removed_mode_flag(self, capsys):
+        from repro.experiments.cli import main
 
-        args = build_parser().parse_args(["figure3", "--mode", "process"])
-        with pytest.warns(DeprecationWarning, match="--mode is deprecated"):
-            executor = _build_executor(args)
-        assert isinstance(executor, PoolExecutor)
-
-        both = build_parser().parse_args(
-            ["figure3", "--executor", "serial", "--mode", "process"]
-        )
-        with pytest.raises(SystemExit, match="not both"):
-            _build_executor(both)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure3", "--mode", "process"])
+        assert excinfo.value.code != 0
+        assert "--mode" in capsys.readouterr().err
 
 
 # ------------------------------------------------ strict config validation
@@ -628,6 +603,20 @@ class TestStrictFromDict:
         assert ScenarioSpec.from_dict(dict(payload)).name == "paper/mnist-linear"
         payload["read_nosie"] = 0.1
         with pytest.raises(ValueError, match="unknown ScenarioSpec fields.*read_nosie"):
+            ScenarioSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("key", ["wire_resistnce", "wire_resistance"])
+    def test_scenario_spec_rejects_unknown_nonideality_keys(self, key):
+        """A typo'd nonideality knob, or the removed 1-D IR-drop knob that
+        older payloads carry, fails with the same named ValueError."""
+        from repro.experiments.scenario import get_scenario
+
+        payload = get_scenario("wired-crossbar").to_dict()
+        assert ScenarioSpec.from_dict(dict(payload)) == get_scenario("wired-crossbar")
+        payload["nonidealities"] = dict(payload["nonidealities"], **{key: 0.0})
+        with pytest.raises(
+            ValueError, match=f"unknown NonidealityConfig fields.*'{key}'"
+        ):
             ScenarioSpec.from_dict(payload)
 
     def test_experiment_scale_round_trips_and_rejects_unknown_keys(self, tiny_scale):
@@ -649,40 +638,29 @@ class TestStrictFromDict:
             SweepSpec.from_dict(payload)
 
 
-# -------------------------------------------------------- legacy wrappers
+# ------------------------------------------------------- executor= options
 
 
-class TestLegacyWrappers:
-    def test_run_wrappers_warn_and_adapt(self, tiny_scale):
-        from repro.experiments import run_table1
-
-        with pytest.warns(DeprecationWarning, match="run_table1.*deprecated"):
-            legacy = run_table1(tiny_scale, scenarios=["paper/mnist-linear"])
-        assert legacy.scale_name == "tiny"
-        assert legacy.rows and legacy.rows[0]["dataset"] == "mnist-like"
-
-    def test_format_wrappers_warn(self, tiny_scale):
-        import warnings
-
-        from repro.experiments import format_figure3, run_figure3
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_figure3(tiny_scale, scenarios=["paper/mnist-linear"])
-        with pytest.warns(DeprecationWarning, match="format_figure3.*deprecated"):
-            text = format_figure3(legacy)
-        assert "Figure 3 reproduction" in text
-
-    def test_runner_kwarg_still_works_with_warning(self, tiny_scale):
-        experiment = get_experiment("figure3")
-        serial = experiment.run(tiny_scale, scenarios=["paper/mnist-linear"])
-        with pytest.warns(DeprecationWarning, match="runner= is deprecated"):
-            via_runner = experiment.run(
+class TestRunExecutorOptions:
+    def test_removed_runner_option_rejected(self, tiny_scale):
+        with pytest.raises(ValueError, match=r"unknown run\(\) options \['runner'\]"):
+            get_experiment("figure3").run(
                 tiny_scale,
                 scenarios=["paper/mnist-linear"],
                 runner=ParallelRunner(mode="serial"),
             )
-        assert_results_identical(serial, via_runner)
+
+    def test_execute_jobs_rejects_removed_runner_keyword(self):
+        from repro.experiments.base import execute_jobs
+
+        with pytest.raises(TypeError, match="runner"):
+            execute_jobs([], runner=ParallelRunner(mode="serial"))
+
+    def test_run_experiments_rejects_removed_runner_keyword(self, tiny_scale):
+        with pytest.raises(TypeError, match="runner"):
+            run_experiments(
+                ["figure3"], tiny_scale, runner=ParallelRunner(mode="serial")
+            )
 
     def test_run_accepts_executor_instances_and_names(self, tiny_scale):
         experiment = get_experiment("figure3")

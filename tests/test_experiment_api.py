@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.crossbar.nonidealities import NonidealityConfig
+from repro.executor import PoolExecutor
 from repro.experiments import (
     PAPER_SCENARIOS,
     ExperimentResult,
@@ -93,10 +94,10 @@ class TestScenarioSpec:
 
     def test_to_dict_is_json_serialisable(self):
         spec = ScenarioSpec(
-            name="x", nonidealities=NonidealityConfig(wire_resistance=0.1)
+            name="x", nonidealities=NonidealityConfig(wire_resistance_ohm=0.1)
         )
         payload = json.dumps(spec.to_dict())
-        assert "wire_resistance" in payload
+        assert "wire_resistance_ohm" in payload
 
     def test_scenario_is_picklable_and_hashable(self):
         import pickle
@@ -172,8 +173,8 @@ class TestRegistry:
             register(Impostor)
 
     def test_reregistering_same_class_is_idempotent(self):
-        """Regression: python -m repro.experiments.table1 imports the module
-        twice (package + __main__) and must not crash on re-registration."""
+        """Regression: a module imported twice (package + __main__) must not
+        crash on re-registration."""
         existing = get_experiment("table1")
         assert register(type(existing)) is type(existing)
         assert get_experiment("table1") is existing
@@ -360,16 +361,16 @@ class TestSerialProcessEquivalence:
     """Acceptance: every registered experiment is bit-identical serial vs process."""
 
     @pytest.fixture(scope="class")
-    def runner(self):
-        return ParallelRunner(mode="process", max_workers=2)
+    def executor(self):
+        return PoolExecutor(mode="process", max_workers=2)
 
     @pytest.mark.parametrize("name", ["table1", "figure3", "figure4", "figure5"])
-    def test_experiment_parallel_matches_serial(self, name, fast_scale, runner):
+    def test_experiment_parallel_matches_serial(self, name, fast_scale, executor):
         experiment = get_experiment(name)
         scenarios = ["paper/mnist-softmax"]
         serial = experiment.run(fast_scale, scenarios=scenarios, base_seed=0)
         parallel = experiment.run(
-            fast_scale, scenarios=scenarios, runner=runner, base_seed=0
+            fast_scale, scenarios=scenarios, executor=executor, base_seed=0
         )
         _assert_results_identical(serial, parallel)
 
@@ -438,21 +439,14 @@ class TestRunExperimentsEndToEnd:
         assert result.metadata["scenario"] == "paper/mnist-softmax"
         assert result.metadata["seed"] == job.seed
 
-    def test_legacy_adapters_reject_configuration_collisions(self, fast_scale):
-        """Regression: legacy (dataset, activation)-keyed results must not
-        silently merge/overwrite two scenarios sharing that configuration."""
-        from repro.experiments import run_figure3, run_table1
-
+    def test_scenarios_sharing_a_configuration_stay_separate(self, fast_scale):
+        """Regression: two scenarios sharing a (dataset, activation) pair
+        must not merge or overwrite each other in the assembled result."""
         scenarios = ["paper/mnist-softmax", "high-read-noise"]  # both mnist/softmax
-        with pytest.raises(ValueError, match="scenario-keyed"):
-            run_figure3(fast_scale, scenarios=scenarios)
-        with pytest.raises(ValueError, match="scenario-keyed"):
-            run_table1(fast_scale, scenarios=scenarios)
-        # the Experiment API itself handles the same selection fine
         result = get_experiment("figure3").run(fast_scale, scenarios=scenarios)
         assert [p["scenario"] for p in result.summary["panels"]] == scenarios
-        # ... including formatting: table1's format_result must not route
-        # through the collision-raising legacy adapter
+        # ... including formatting: table1's format_result keys its rows by
+        # scenario
         t1 = get_experiment("table1").run(fast_scale, scenarios=scenarios)
         text = get_experiment("table1").format_result(t1)
         assert "high-read-noise" in text and "Scenario" in text

@@ -596,7 +596,7 @@ class TestWireResistance:
         # reduces the measured supply current
         assert np.all(wired.total_current(inputs) < ideal.total_current(inputs))
 
-    def test_fused_path_consistent_under_wire_resistance(self, rng):
+    def test_fused_path_consistent_under_wire_resistance_ohm(self, rng):
         network = dyadic_network(rng)
         inputs = dyadic_inputs(rng, 5)
         wired = CrossbarAccelerator(network, nonidealities=self.WIRED, random_state=0)
@@ -766,7 +766,7 @@ class TestShardedScenarios:
         )
         assert spec.sharding == ShardingSpec.rows(2)
         assert spec.nonidealities.wire_resistance_ohm == 2e-3
-        # the legacy 1-D attenuation knob is NOT accepted through this form
+        # the removed 1-D attenuation knob is rejected by name
         with pytest.raises(ValueError, match="wire_resistance"):
             ScenarioSpec(name="t2", sharding={"row_shards": 2, "wire_resistance": 2e-3})
 

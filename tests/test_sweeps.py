@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from repro.crossbar.mapping import ShardingSpec
+from repro.executor import PoolExecutor
 from repro.experiments import (
     PAPER_SCENARIOS,
     SCENARIOS,
     SWEEP_PRESET_GRIDS,
     SWEEPS,
     ExperimentResult,
-    ParallelRunner,
     ScenarioSpec,
     SweepExperiment,
     SweepSpec,
@@ -56,8 +56,8 @@ class TestKnobResolution:
 
     def test_direct_field_paths_pass_through(self):
         assert resolve_knob("measurement_noise") == "measurement_noise"
-        assert resolve_knob("nonidealities.wire_resistance") == (
-            "nonidealities.wire_resistance"
+        assert resolve_knob("nonidealities.wire_resistance_ohm") == (
+            "nonidealities.wire_resistance_ohm"
         )
 
     def test_swept_field_is_the_top_level_target(self):
@@ -79,7 +79,10 @@ class TestKnobResolution:
         noisy = apply_knob(base, "rail.read_noise", 0.25)
         assert noisy.nonidealities.current_measurement_noise == 0.25
         # nested override preserves the rest of the nonideality config
-        assert noisy.nonidealities.wire_resistance == base.nonidealities.wire_resistance
+        assert (
+            noisy.nonidealities.wire_resistance_ohm
+            == base.nonidealities.wire_resistance_ohm
+        )
 
     def test_device_read_noise_overrides_device_physics(self):
         from repro.nn.layers import Dense
@@ -348,7 +351,7 @@ class TestSweepExecution:
     def test_process_runner_bit_identical(self, adc_result, sweep_scale):
         parallel = get_experiment("sweep-adc-bits").run(
             sweep_scale,
-            runner=ParallelRunner(mode="process", max_workers=2),
+            executor=PoolExecutor(mode="process", max_workers=2),
             base_seed=0,
         )
         _assert_results_identical(adc_result, parallel)
