@@ -37,7 +37,7 @@ from repro.crossbar.accelerator import CrossbarAccelerator
 from repro.datasets.transforms import one_hot
 from repro.nn.network import Sequential
 from repro.sidechannel.measurement import QueryBudgetExceeded
-from repro.utils.rng import RandomState, as_rng, sample_stream
+from repro.utils.rng import RandomState, as_rng, sample_stream, validate_seeds
 from repro.utils.validation import check_non_negative, check_positive_int
 
 #: Stream-path domain tag for the oracle's instrument noise.
@@ -279,12 +279,7 @@ class Oracle:
         """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         if seeds is not None:
-            seeds = np.asarray(seeds, dtype=np.uint64)
-            if seeds.ndim != 1 or len(seeds) != len(inputs):
-                raise ValueError(
-                    f"seeds must be 1-D with one entry per query row "
-                    f"({len(inputs)}), got shape {seeds.shape}"
-                )
+            seeds = validate_seeds(seeds, len(inputs))
         self._check_budget(len(inputs))
 
         per_tile_power = None

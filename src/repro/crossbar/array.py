@@ -24,6 +24,13 @@ read.  Three properties of that state drive the engine:
   matrices *in place* must call :meth:`invalidate_state_cache` afterwards.
   With read noise enabled the cache is bypassed and every operation draws a
   fresh realization, exactly as before.
+* **Seeded realizations.**  With ``sample_seeds`` a noisy array reads
+  itself once per batch row, from that row's own stream.  The rows are
+  realised in one vectorised pass, a chunk at a time under a fixed byte
+  budget (``_REALIZATION_CHUNK_BYTES``): one ``(2, M, N)`` draw per row into
+  a shared buffer, one in-place read-noise and IR-drop pass over the chunk
+  and one stacked ``np.matmul`` for outputs and totals.  Each row is
+  bitwise what a one-row call computes, for any batch size or chunking.
 * **Accounting.**  :attr:`n_operations` counts analogue array traversals and
   :attr:`n_realizations` counts physical conductance reads (cache hits
   realise nothing), both by the one rule in :meth:`count_traversal`, which
@@ -63,7 +70,13 @@ from repro.backend import ArrayBackend, get_backend
 from repro.crossbar.devices import NVMDeviceModel
 from repro.crossbar.mapping import ConductanceMapping
 from repro.crossbar.nonidealities import NonidealityConfig
-from repro.utils.rng import RandomState, as_rng, sample_stream, seeded_noise_factors
+from repro.utils.rng import (
+    RandomState,
+    as_rng,
+    sample_stream,
+    seeded_noise_factors,
+    validate_seeds,
+)
 from repro.utils.validation import check_matrix
 
 #: Stream-path domain tag for array-level noise (see :func:`sample_stream`).
@@ -71,6 +84,14 @@ _ARRAY_DOMAIN = 1
 #: Channel tags within the array domain.
 _READ_CHANNEL = 0
 _RAIL_CHANNEL = 1
+
+#: Working-set budget of one chunk of seeded read-noise realizations; rows
+#: are realised together in chunks that stay under it (at least one row).
+_REALIZATION_CHUNK_BYTES = 32 << 20
+#: ``(M, N)`` float64 planes one realised row holds at the peak of a chunk:
+#: the G+ / G- read, the differential and summed matrices, and the IR-drop
+#: factor with its one temporary.
+_PLANES_PER_REALIZATION = 6
 
 
 class _EffectiveState(NamedTuple):
@@ -293,7 +314,9 @@ class CrossbarArray:
         :class:`~repro.crossbar.shard.ShardProgram` in a worker process.  A
         read-noise-free array is read once and its cached state (returned)
         serves every later call; a noisy one is read once per seeded row, or
-        once per call without seeds, and ``None`` is returned.
+        once per call without seeds, and ``None`` is returned.  The seeded
+        reads of one traversal count one each even though they are realised
+        together, in one vectorised, chunked pass.
         """
         self._n_operations += 1
         if self.device.read_noise == 0:
@@ -341,16 +364,17 @@ class CrossbarArray:
         g_minus = self.device.apply_read_noise(self.g_minus, rng)
         return g_plus, g_minus
 
-    def _wire_droop(
-        self, g_plus: np.ndarray, g_minus: np.ndarray
-    ) -> Optional[np.ndarray]:
+    def _wire_droop(self, g_sum: np.ndarray) -> Optional[np.ndarray]:
         """Per-cell voltage-droop factor of the 2-D IR-drop model, or ``None``.
 
-        With ``wire_resistance_ohm = R`` per unit cell, the cell at grid
-        position ``(i, j)`` sees its drive voltage attenuated by the column
-        wire feeding it (``i + 1`` cells deep, loaded by the column's total
-        conductance) and its current attenuated along the row wire collecting
-        it (``j + 1`` cells long, loaded by the row's total conductance):
+        ``g_sum = G+ + G-`` is one read's total conductance, ``(M, N)`` or
+        with leading batch axes (one plane per realised row).  With
+        ``wire_resistance_ohm = R`` per unit cell, the cell at grid position
+        ``(i, j)`` sees its drive voltage attenuated by the column wire
+        feeding it (``i + 1`` cells deep, loaded by the column's total
+        conductance) and its current attenuated along the row wire
+        collecting it (``j + 1`` cells long, loaded by the row's total
+        conductance):
 
         ``droop[i, j] = 1 / (1 + R * (G_col[j] * (i+1) + G_row[i] * (j+1)))``
 
@@ -362,16 +386,15 @@ class CrossbarArray:
         resistance = self.nonidealities.wire_resistance_ohm
         if resistance == 0:
             return None
-        total = g_plus + g_minus
-        column_g = total.sum(axis=0)
-        row_g = total.sum(axis=1)
-        row_depth = np.arange(1, total.shape[0] + 1, dtype=float)
-        col_length = np.arange(1, total.shape[1] + 1, dtype=float)
-        drop = resistance * (
-            column_g[np.newaxis, :] * row_depth[:, np.newaxis]
-            + row_g[:, np.newaxis] * col_length[np.newaxis, :]
-        )
-        return 1.0 / (1.0 + drop)
+        column_g = g_sum.sum(axis=-2)
+        row_g = g_sum.sum(axis=-1)
+        row_depth = np.arange(1, g_sum.shape[-2] + 1, dtype=float)
+        col_length = np.arange(1, g_sum.shape[-1] + 1, dtype=float)
+        droop = column_g[..., np.newaxis, :] * row_depth[:, np.newaxis]
+        droop += row_g[..., :, np.newaxis] * col_length[np.newaxis, :]
+        droop *= resistance
+        droop += 1.0
+        return np.divide(1.0, droop, out=droop)
 
     def _effective(
         self, g_plus: np.ndarray, g_minus: np.ndarray
@@ -379,15 +402,17 @@ class CrossbarArray:
         """IR-drop-attenuated differential matrix and column sums of one read.
 
         The single effective-state computation behind both the cached state
-        and the per-row seeded realisations.
+        and the seeded realisations; a leading batch axis on ``g_plus`` /
+        ``g_minus`` realises one state per row (reductions run over the last
+        two axes, so each plane gets the bits of a one-read call).
         """
         g_diff = g_plus - g_minus
         g_sum = g_plus + g_minus
-        droop = self._wire_droop(g_plus, g_minus)
+        droop = self._wire_droop(g_sum)
         if droop is not None:
-            g_diff = g_diff * droop
-            g_sum = g_sum * droop
-        return g_diff, g_sum.sum(axis=0)
+            g_diff *= droop
+            g_sum *= droop
+        return g_diff, g_sum.sum(axis=-2)
 
     def _state(self, g_plus: np.ndarray, g_minus: np.ndarray) -> _EffectiveState:
         """One realised read as host state plus its device-resident operands.
@@ -433,15 +458,6 @@ class CrossbarArray:
             )
         return batch, single
 
-    def _validate_seeds(self, sample_seeds, batch: np.ndarray) -> np.ndarray:
-        seeds = np.asarray(sample_seeds, dtype=np.uint64)
-        if seeds.ndim != 1 or len(seeds) != len(batch):
-            raise ValueError(
-                f"sample_seeds must be 1-D with one seed per batch row "
-                f"({len(batch)}), got shape {seeds.shape}"
-            )
-        return seeds
-
     def _rail_factors(self, seeds: Optional[np.ndarray], n_rows: int) -> np.ndarray:
         """Multiplicative rail measurement-noise factors, one per row.
 
@@ -455,6 +471,50 @@ class CrossbarArray:
                 seeds, _ARRAY_DOMAIN, self.noise_tag, _RAIL_CHANNEL, std=noise
             )
         return 1.0 + self._rng.normal(0.0, noise, size=(n_rows,))
+
+    def _realize_seeded(
+        self, batch: np.ndarray, seeds: np.ndarray, *, want_outputs: bool, want_totals: bool
+    ):
+        """Outputs and totals of a noisy array, one seeded realization per row.
+
+        Row ``i`` reads the array through its own ``(seeds[i], noise_tag,
+        read channel)`` stream: one ``(2, M, N)`` draw of G+ then G-
+        deviations, the same bits as the two ``apply_read_noise`` calls of
+        an unbatched read.  Rows are realised together, a chunk at a time
+        under ``_REALIZATION_CHUNK_BYTES``: one in-place read-noise pass,
+        one batched effective state and one stacked ``np.matmul`` per chunk.
+        Stacked matmul runs per plane the same gemv / dot as ``effective @
+        row`` and ``row @ column_sums`` (einsum would not), so each row is
+        bitwise what a one-row call computes.
+        """
+        n_rows, n_columns = self.shape
+        conductances = np.stack([self.g_plus, self.g_minus])
+        read_noise = self.device.read_noise
+        outputs = np.empty((len(batch), n_rows)) if want_outputs else None
+        totals = np.empty(len(batch)) if want_totals else None
+        row_bytes = _PLANES_PER_REALIZATION * conductances[0].nbytes
+        step = max(1, _REALIZATION_CHUNK_BYTES // row_bytes)
+        for start in range(0, len(batch), step):
+            rows = batch[start : start + step]
+            deviations = np.empty((len(rows), 2, n_rows, n_columns))
+            for j, seed in enumerate(seeds[start : start + step]):
+                rng = sample_stream(seed, _ARRAY_DOMAIN, self.noise_tag, _READ_CHANNEL)
+                rng.standard_normal(out=deviations[j])
+            # normal(0, s) draws 0 + s * z per element: the same bits once
+            # perturb_read adds the 1.
+            deviations *= read_noise
+            reads = self.device.perturb_read(conductances, deviations)
+            effective, column_sums = self._effective(reads[:, 0], reads[:, 1])
+            stop = start + len(rows)
+            if want_outputs:
+                outputs[start:stop] = np.matmul(effective, rows[:, :, np.newaxis])[:, :, 0]
+            if want_totals:
+                totals[start:stop] = np.matmul(
+                    rows[:, np.newaxis, :], column_sums[:, :, np.newaxis]
+                )[:, 0, 0]
+            # Free this chunk before the next one allocates its read.
+            del deviations, reads, effective, column_sums
+        return outputs, totals
 
     # ------------------------------------------------------------ operations
 
@@ -475,21 +535,15 @@ class CrossbarArray:
         batch, single = self._validate_batch(voltages)
         seeds = None
         if sample_seeds is not None:
-            seeds = self._validate_seeds(sample_seeds, batch)
+            seeds = validate_seeds(sample_seeds, len(batch), name="sample_seeds")
         state = self.count_traversal(len(batch), seeded=seeds is not None)
         noisy_rail = want_totals and self.nonidealities.current_measurement_noise > 0
         if state is None and seeds is not None:
             # Per-row seeded realizations are host-side physics (fresh noisy
             # conductances per row); their rail noise stays host-side too.
-            outputs = np.empty((len(batch), self.n_rows)) if want_outputs else None
-            totals = np.empty(len(batch)) if want_totals else None
-            for i, (row, seed) in enumerate(zip(batch, seeds)):
-                rng = sample_stream(seed, _ARRAY_DOMAIN, self.noise_tag, _READ_CHANNEL)
-                effective, column_sums = self._effective(*self._read(rng))
-                if want_outputs:
-                    outputs[i] = effective @ row
-                if want_totals:
-                    totals[i] = row @ column_sums
+            outputs, totals = self._realize_seeded(
+                batch, seeds, want_outputs=want_outputs, want_totals=want_totals
+            )
             if noisy_rail:
                 totals = totals * self._rail_factors(seeds, len(batch))
             return outputs, totals, single

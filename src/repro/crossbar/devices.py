@@ -101,10 +101,20 @@ class NVMDeviceModel:
         conductances = np.asarray(conductances, dtype=float)
         if self.read_noise == 0:
             return conductances
-        noisy = conductances * (
-            1.0 + rng.normal(0.0, self.read_noise, size=conductances.shape)
-        )
-        return np.clip(noisy, 0.0, self.g_max)
+        deviations = rng.normal(0.0, self.read_noise, size=conductances.shape)
+        return self.perturb_read(conductances, deviations)
+
+    def perturb_read(self, conductances: np.ndarray, deviations: np.ndarray) -> np.ndarray:
+        """``clip(conductances * (1 + deviations), 0, g_max)``, built in ``deviations``.
+
+        The read-noise physics of :meth:`apply_read_noise` for deviations
+        already drawn, so a batch of seeded reads (``deviations`` with
+        leading batch axes, ``conductances`` broadcast against them) is
+        realised in place with the same bits as one read at a time.
+        """
+        deviations += 1.0
+        deviations *= conductances
+        return np.clip(deviations, 0.0, self.g_max, out=deviations)
 
     def with_noise(
         self,

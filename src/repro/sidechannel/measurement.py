@@ -15,7 +15,13 @@ from typing import Optional, Protocol, Tuple, Union
 
 import numpy as np
 
-from repro.utils.rng import RandomState, as_rng, fold_seed, sample_stream
+from repro.utils.rng import (
+    RandomState,
+    as_rng,
+    fold_seed,
+    sample_stream,
+    validate_seeds,
+)
 from repro.utils.validation import check_non_negative, check_positive_int
 
 #: Stream-path domain tags for the instrument's own noise and for the
@@ -220,12 +226,7 @@ class PowerMeasurement:
         single = inputs.ndim == 1
         batch = np.atleast_2d(inputs)
         if seeds is not None:
-            seeds = np.asarray(seeds, dtype=np.uint64)
-            if seeds.ndim != 1 or len(seeds) != len(batch):
-                raise ValueError(
-                    f"seeds must be 1-D with one entry per input row "
-                    f"({len(batch)}), got shape {seeds.shape}"
-                )
+            seeds = validate_seeds(seeds, len(batch))
         self._check_budget(len(batch) * self.n_averages)
 
         readings = np.zeros(len(batch), dtype=float)

@@ -63,6 +63,7 @@ def spawn_rngs(random_state: RandomState, count: int) -> list[np.random.Generato
 #: Mask folding arbitrary Python ints into the non-negative range
 #: :class:`numpy.random.SeedSequence` accepts as one entropy word.
 _UINT64_MASK = (1 << 64) - 1
+_UINT32_MASK = (1 << 32) - 1
 
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -121,17 +122,72 @@ def derive_request_seeds(
     )
 
 
+def validate_seeds(seeds, n_rows: int, *, name: str = "seeds") -> np.ndarray:
+    """Per-row noise seeds as a ``uint64`` array, one per batch row.
+
+    Every entry must be an integer in ``[0, 2**64)``.  A float seed would
+    truncate onto another row's stream (``1.5`` aliases ``1``) and a
+    negative or too-wide one would wrap or overflow, so both raise a
+    :class:`ValueError` naming ``name`` instead.
+    """
+    # A list is checked element by element: numpy would promote a mix of
+    # small and >= 2**63 ints to float64 (or to object past 2**64).
+    array = seeds if isinstance(seeds, np.ndarray) else np.asarray(seeds, dtype=object)
+    if array.size == 0:
+        array = np.empty(array.shape, dtype=np.uint64)
+    elif array.dtype == object:
+        values = array.ravel().tolist()
+        if not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_))
+            for v in values
+        ):
+            raise ValueError(f"{name} must be integers, got {values!r}")
+        if not all(0 <= v <= _UINT64_MASK for v in values):
+            raise ValueError(f"{name} must lie in [0, 2**64), got {values!r}")
+        array = np.array(values, dtype=np.uint64).reshape(array.shape)
+    elif array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {array.dtype}")
+    elif array.dtype.kind == "i" and array.min() < 0:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {int(array.min())}")
+    if array.ndim != 1 or len(array) != n_rows:
+        raise ValueError(
+            f"{name} must be 1-D with one seed per batch row ({n_rows}), "
+            f"got shape {array.shape}"
+        )
+    return array.astype(np.uint64, copy=False)
+
+
+def _entropy_words(seed: int, *path: int) -> np.ndarray:
+    """The ``uint32`` entropy words of ``[seed & M, *(part & M)]``, ``M = 2**64 - 1``.
+
+    :class:`numpy.random.SeedSequence` splits every int of a list entropy
+    into little-endian 32-bit words (one word below ``2**32``, two from
+    there up, and ``[0]`` for zero).  Building that word array directly
+    hands SeedSequence the same entropy — hence the same generator state —
+    without its per-int coercion, which dominates stream construction.
+    """
+    words = []
+    for part in (seed, *path):
+        value = int(part) & _UINT64_MASK
+        words.append(value & _UINT32_MASK)
+        if value >> 32:
+            words.append(value >> 32)
+    return np.array(words, dtype=np.uint32)
+
+
 def sample_stream(seed: int, *path: int) -> np.random.Generator:
     """An independent generator for one (seed, consumer-path) pair.
 
     ``path`` identifies the consumer — e.g. ``(domain, tile, channel)`` — so
     distinct noise sources never share a stream even when they share the
     per-row ``seed``.  The derivation is stateless: the same arguments always
-    yield the same stream, regardless of call order or batch shape.
+    yield the same stream, regardless of call order or batch shape.  The
+    stream equals ``default_rng(SeedSequence([seed & M, *(part & M)]))``
+    with ``M = 2**64 - 1``, bit for bit.
     """
-    entropy = [int(seed) & _UINT64_MASK]
-    entropy.extend(int(part) & _UINT64_MASK for part in path)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(_entropy_words(seed, *path)))
+    )
 
 
 def seeded_noise_factors(seeds, *path: int, std: float) -> np.ndarray:
@@ -160,9 +216,10 @@ def fold_seed(seed: int, *path: int) -> int:
     repeated read of an averaging instrument) while staying in plain-integer
     form so it can be handed onwards as a ``sample_seeds`` entry.
     """
-    entropy = [int(seed) & _UINT64_MASK]
-    entropy.extend(int(part) & _UINT64_MASK for part in path)
-    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
+    state = np.random.SeedSequence(_entropy_words(seed, *path)).generate_state(
+        1, dtype=np.uint64
+    )
+    return int(state[0])
 
 
 def seeds_for_runs(base_seed: Optional[int], n_runs: int) -> list[int]:
