@@ -63,7 +63,6 @@ def test_experiments_registry_sweep(single_round, benchmark):
     serial_s = time.perf_counter() - start
 
     executor = PoolExecutor(mode="process")
-    runner = executor.runner
     start = time.perf_counter()
     parallel = _run_all(executor)
     parallel_s = time.perf_counter() - start
@@ -73,7 +72,7 @@ def test_experiments_registry_sweep(single_round, benchmark):
     # Pool economics for the regression record: with chunked submission the
     # per-job overhead is (pool wall time minus the perfectly-parallel ideal)
     # spread over the jobs — the quantity the chunking fix drives down.
-    n_workers = runner.resolve_workers(total_jobs)
+    n_workers = executor.resolve_workers(total_jobs)
     per_job_overhead_s = max(0.0, parallel_s - serial_s / n_workers) / max(
         1, total_jobs
     )
@@ -85,7 +84,7 @@ def test_experiments_registry_sweep(single_round, benchmark):
             "serial_s": serial_s,
             "process_s": parallel_s,
             "n_workers": n_workers,
-            "chunksize": runner.chunksize(total_jobs),
+            "chunksize": executor.chunksize(total_jobs),
             "per_job_overhead_s": per_job_overhead_s,
             "results_identical": identical,
         },

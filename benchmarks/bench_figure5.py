@@ -54,7 +54,7 @@ def test_figure5_mnist_rows(single_round, benchmark):
     )
     bench_engine.record_timings(
         "bench_figure5_mnist",
-        {"elapsed_s": time.perf_counter() - start, "runner_mode": EXECUTOR.runner.mode},
+        {"elapsed_s": time.perf_counter() - start, "runner_mode": EXECUTOR.mode},
     )
     print()
     print(EXPERIMENT.format_result(result))
@@ -95,7 +95,7 @@ def test_figure5_cifar_rows(single_round, benchmark):
     )
     bench_engine.record_timings(
         "bench_figure5_cifar",
-        {"elapsed_s": time.perf_counter() - start, "runner_mode": EXECUTOR.runner.mode},
+        {"elapsed_s": time.perf_counter() - start, "runner_mode": EXECUTOR.mode},
     )
     print()
     print(EXPERIMENT.format_result(result))

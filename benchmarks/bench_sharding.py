@@ -11,9 +11,9 @@ partial-sum reduction, per-shard current stacking.  The acceptance gate
 stays within 1.2x of the single-tile per-element throughput.
 
 A second section times the *process-parallel* shard path: the same sharded
-group driven by ``ParallelRunner("process")``, whose workers execute the
-picklable :class:`~repro.crossbar.shard.ShardProgram` kernels.  Process
-dispatch has real serialization overhead, so the gate
+group driven by ``PoolExecutor(mode="process")``, whose workers receive a
+pickled copy of each live shard array per call.  Process dispatch has real
+serialization overhead, so the gate
 (``--min-shard-speedup``) is a single-core floor like the netservice and
 executor gates — the parallel path must retain at least that fraction of
 serial throughput, and perfect scaling shows up as speedup > 1.
@@ -33,7 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_engine
 
 from repro.crossbar import CrossbarAccelerator, ShardingSpec
-from repro.experiments.runner import ParallelRunner
+from repro.executor import PoolExecutor
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
 
@@ -167,7 +167,7 @@ def run_process_parallel_benchmark(
     """Time serial vs process-parallel execution of the same sharded group.
 
     Both accelerators hold identical programmed state (same seed), and the
-    ideal-device forward path is a pure function of the shard programs, so
+    ideal-device forward path is a pure function of the shard arrays, so
     the process pool's outputs must be bit-identical to serial — asserted
     here and recorded as ``outputs_identical`` for the regression gate.
     """
@@ -177,7 +177,7 @@ def run_process_parallel_benchmark(
     inputs = rng.uniform(0.0, 1.0, size=(batch_size, n_inputs))
 
     serial = CrossbarAccelerator(network, sharding=spec, random_state=seed)
-    runner = ParallelRunner(mode="process", max_workers=spec.n_shards)
+    runner = PoolExecutor(mode="process", max_workers=spec.n_shards)
     parallel = CrossbarAccelerator(
         network, sharding=spec, shard_runner=runner, random_state=seed
     )

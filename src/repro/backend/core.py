@@ -129,6 +129,17 @@ class ArrayBackend:
     def synchronize(self) -> None:
         """Block until queued device work completes (no-op on the host)."""
 
+    def __reduce__(self):
+        """Pickle a registry singleton by name, any other instance by value.
+
+        The receiving process then resolves its own singleton through
+        :func:`get_backend` instead of unpickling module handles, so an
+        array shipped to a worker keeps ``backend is get_backend(name)``.
+        """
+        if _INSTANCES.get(self.name) is self:
+            return get_backend, (self.name,)
+        return object.__reduce__(self)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, device={self.device!r})"
 

@@ -7,6 +7,13 @@ circuitry (DAC/ADC) needed to run a neural-network layer on the array.
 Non-idealities (programming noise, read noise, conductance quantization,
 stuck devices, IR drop) are available as opt-in extensions corresponding to
 the paper's stated future work.
+
+Each layer is one :class:`CrossbarTile` over a :class:`ShardingSpec` grid of
+physical :class:`CrossbarArray` shards (1x1 by default), each with its own
+rail and noise streams.  A :class:`~repro.executor.PoolExecutor` passed as
+``shard_runner`` traverses the shards concurrently; in process mode the live
+arrays themselves are pickled to the workers, and state that cannot cross a
+process boundary is rejected with :class:`NonPicklableShardError`.
 """
 
 from repro.crossbar.devices import NVMDeviceModel, RERAM_DEVICE, PCM_DEVICE, IDEAL_DEVICE
@@ -18,14 +25,9 @@ from repro.crossbar.mapping import (
     reduce_partial_sums,
 )
 from repro.crossbar.array import CrossbarArray
-from repro.crossbar.shard import (
-    NonPicklableShardError,
-    ShardProgram,
-    run_shard,
-)
 from repro.crossbar.adc_dac import DAC, ADC
 from repro.crossbar.power import PowerModel, PowerReport
-from repro.crossbar.tile import CrossbarTile
+from repro.crossbar.tile import CrossbarTile, NonPicklableShardError
 from repro.crossbar.accelerator import CrossbarAccelerator
 
 __all__ = [
@@ -40,8 +42,6 @@ __all__ = [
     "reduce_partial_sums",
     "CrossbarArray",
     "NonPicklableShardError",
-    "ShardProgram",
-    "run_shard",
     "DAC",
     "ADC",
     "PowerModel",

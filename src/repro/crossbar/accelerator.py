@@ -86,13 +86,13 @@ class CrossbarAccelerator:
         :class:`~repro.crossbar.mapping.ShardingSpec` applied to every layer,
         or a per-layer sequence of specs/``None``.
     shard_runner:
-        Optional :class:`~repro.experiments.runner.ParallelRunner` executing
-        the shard kernels of sharded layers concurrently.  ``thread`` mode
-        maps host arrays in-process; ``process`` mode ships picklable
-        :class:`~repro.crossbar.shard.ShardProgram` snapshots to worker
-        processes (bitwise-identical for seeded/deterministic execution;
-        rejected with :class:`~repro.crossbar.shard.NonPicklableShardError`
-        for device-resident backends such as cupy).
+        Optional :class:`~repro.executor.PoolExecutor` executing the shard
+        kernels of sharded layers concurrently.  ``thread`` mode maps host
+        arrays in-process; ``process`` mode pickles each live shard array,
+        with its noise tag, to a worker at call time (bitwise-identical to
+        serial for seeded/deterministic execution; rejected with
+        :class:`~repro.crossbar.tile.NonPicklableShardError` for
+        device-resident backends such as cupy).
     random_state:
         Seed; each tile receives an independent child generator.
     backend / dtype / batch_invariant:

@@ -289,6 +289,20 @@ class CrossbarArray:
         """``G_j`` for every column — the quantity leaked by the power channel."""
         return self.mapping.column_conductance_sums(self.g_plus, self.g_minus)
 
+    @property
+    def is_deterministic(self) -> bool:
+        """True when a traversal draws nothing from the array's generator.
+
+        Read noise and rail measurement noise are the only per-call
+        stochastic effects on the compute path; without them (or with
+        ``sample_seeds``) every operation is a pure function of its
+        arguments.
+        """
+        return (
+            self.device.read_noise == 0.0
+            and self.nonidealities.current_measurement_noise == 0.0
+        )
+
     # ------------------------------------------------------------ accounting
 
     @property
@@ -310,8 +324,8 @@ class CrossbarArray:
         """Count one traversal and the conductance reads it realises.
 
         The one counting rule for every address space: a traversal run here
-        calls it, and so does a dispatcher that runs the traversal on a
-        :class:`~repro.crossbar.shard.ShardProgram` in a worker process.  A
+        calls it, and so does a dispatcher that ships a copy of this array
+        to a worker process (which first fills the cache it ships).  A
         read-noise-free array is read once and its cached state (returned)
         serves every later call; a noisy one is read once per seeded row, or
         once per call without seeds, and ``None`` is returned.  The seeded

@@ -14,8 +14,8 @@ generator; a larger grid hands each shard its slice of the programmed
 conductances and its own read-noise/measurement-noise stream (they are
 distinct physical tiles).
 
-Per batch every shard is traversed exactly once through
-:func:`~repro.crossbar.shard.run_shard`: row-shard outputs are concatenated,
+Per batch every shard is traversed exactly once through the one shard kernel
+(:func:`_run_shard`): row-shard outputs are concatenated,
 column-shard partial outputs are reduced in the spec's declared order, and
 each shard's supply current remains individually observable — the per-tile
 observables the paper's hardware discussion assumes.  For ideal
@@ -34,6 +34,7 @@ from the same conductance realizations.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 from functools import partial
 from itertools import product
@@ -50,10 +51,68 @@ from repro.crossbar.mapping import (
     reduce_partial_sums,
 )
 from repro.crossbar.nonidealities import NonidealityConfig
-from repro.crossbar.shard import ShardProgram, run_shard
 from repro.nn.activations import Activation, get_activation
 from repro.nn.layers import Dense
 from repro.utils.rng import RandomState, as_rng
+
+
+class NonPicklableShardError(TypeError):
+    """Shard state cannot cross a process boundary.
+
+    Raised when a process-mode :class:`CrossbarTile` is built over arrays
+    whose backend state is meaningless (or unserialisable) in another
+    address space — e.g. device-resident cupy operands, whose CUDA context
+    belongs to the host process.  Use a ``thread`` or ``serial`` pool for
+    such backends.
+    """
+
+
+def _require_picklable(array: CrossbarArray) -> None:
+    """Raise :class:`NonPicklableShardError` unless ``array`` can ship.
+
+    Device-resident backends are rejected by name even where the array
+    would technically pickle: rebuilding a CUDA context per kernel call in a
+    worker is not a supported execution model.  Everything else is probed
+    with a real ``pickle.dumps``.
+    """
+    if array.backend.name == "cupy":
+        raise NonPicklableShardError(
+            "shard uses the cupy backend (device-resident operands); "
+            "process-mode shard execution requires host-resident state — "
+            "use a 'thread' or 'serial' pool"
+        )
+    try:
+        pickle.dumps(array)
+    except Exception as exc:
+        raise NonPicklableShardError(
+            f"shard array cannot be pickled for process-mode execution: "
+            f"{exc}; use a 'thread' or 'serial' pool"
+        ) from exc
+
+
+#: ``want`` -> the :class:`CrossbarArray` entry point that yields it.  Looked
+#: up by name at call time, so the fused traversal always enters
+#: :meth:`CrossbarArray.matvec_with_current` as bound on the class.
+_ENTRY_POINTS = {
+    "outputs": "matvec",
+    "totals": "total_current",
+    "both": "matvec_with_current",
+}
+
+
+def _run_shard(array, voltages, sample_seeds=None, rng_seed=None, *, want: str):
+    """The one shard kernel: traverse ``array`` once.
+
+    ``want`` selects the observables: ``"outputs"`` (output currents, Eq. 3),
+    ``"totals"`` (supply current, Eq. 5) or ``"both"`` (the fused
+    ``(outputs, total_current)`` pair from one realization).  ``rng_seed``
+    reseeds the array's generator first; the tile passes it only with a
+    worker's copy of an unseeded stochastic shard (see
+    :meth:`CrossbarTile._offload_job`).
+    """
+    if rng_seed is not None:
+        array._rng = np.random.default_rng(rng_seed)
+    return getattr(array, _ENTRY_POINTS[want])(voltages, sample_seeds=sample_seeds)
 
 
 class CrossbarTile:
@@ -75,20 +134,19 @@ class CrossbarTile:
     dac / adc:
         Converter models; ``None`` means ideal converters.
     runner:
-        Optional :class:`~repro.experiments.runner.ParallelRunner` executing
-        the shard kernels of a multi-shard grid concurrently (a single shard
-        always runs inline).  ``thread`` runners traverse the host arrays
-        directly (shared address space; bit-identical to serial — each
-        shard's operations happen in the same order on the same array,
-        results are collected in shard order).  ``process`` runners ship
-        self-contained :class:`~repro.crossbar.shard.ShardProgram` snapshots
-        to the worker pool instead: seeded and deterministic execution is
-        bitwise identical to the serial path, unseeded stochastic execution
-        receives a fresh per-call seed drawn from the host shard's own
-        generator.  Construction verifies up front that the programs can
-        cross the address space and raises
-        :class:`~repro.crossbar.shard.NonPicklableShardError` for
-        device-resident backend state (e.g. cupy operands).
+        Optional :class:`~repro.executor.PoolExecutor` executing the shard
+        kernels of a multi-shard grid concurrently (a single shard always
+        runs inline).  ``thread`` pools traverse the host arrays directly
+        (shared address space; bit-identical to serial — each shard's
+        operations happen in the same order on the same array, results are
+        collected in shard order).  ``process`` pools receive a pickled copy
+        of each shard array, noise tag and cached effective state included,
+        at call time: seeded and deterministic execution is bitwise
+        identical to the serial path, unseeded stochastic execution receives
+        a fresh per-call seed drawn from the host shard's own generator.
+        Construction verifies up front that the arrays can cross the address
+        space and raises :class:`NonPicklableShardError` for device-resident
+        backend state (e.g. cupy operands).
     random_state:
         Seed for stochastic hardware effects.
     backend / dtype / batch_invariant:
@@ -138,14 +196,13 @@ class CrossbarTile:
         self.dac = dac if dac is not None else DAC()
         self.adc = adc
 
-        # A single shard always runs inline; the runner's mode is read once.
+        # A single shard always runs inline; the pool's mode is read once.
         self._runner = runner if sharding.n_shards > 1 else None
         self._offload = getattr(self._runner, "mode", None) == "process"
-        self._shard_programs: Optional[List[ShardProgram]] = None
         if self._offload:
-            # Process execution is legal whenever the programmed state can
-            # cross the address space; probe that now, not mid-query.
-            self.shard_programs()[0].require_picklable()
+            # Process execution is legal whenever the shard arrays can cross
+            # the address space; probe that now, not mid-query.
+            _require_picklable(self._arrays[0])
 
     # ----------------------------------------------------------------- engine
 
@@ -175,21 +232,15 @@ class CrossbarTile:
         ]
         if self._sharding.is_trivial:
             self._arrays = [programmed]
-            self._shard_seeds = [0]
             return
         # Pin the weight scale to the full matrix so every shard converts
         # currents with the same factor the single-array placement uses.
         shard_mapping = replace(
             mapping, weight_scale=mapping.resolve_weight_scale(weights)
         )
-        # Integer seed material first, generators second — the exact draws
-        # spawn_rngs(rng, n) performs, but keeping the plain-int seeds lets a
-        # ShardProgram reconstruct each shard's generator start state in a
-        # worker process bit-exactly.
-        self._shard_seeds = [
-            int(seed)
-            for seed in rng.integers(0, 2**63 - 1, size=self._sharding.n_shards)
-        ]
+        # One integer seed per shard generator: the exact draws
+        # spawn_rngs(rng, n) performs.
+        shard_seeds = rng.integers(0, 2**63 - 1, size=self._sharding.n_shards)
         self._arrays = [
             CrossbarArray.from_conductances(
                 programmed.g_plus[np.ix_(rows, cols)],
@@ -197,11 +248,11 @@ class CrossbarTile:
                 mapping=shard_mapping,
                 nonidealities=nonidealities,
                 reference_weights=weights[np.ix_(rows, cols)],
-                random_state=np.random.default_rng(seed),
+                random_state=np.random.default_rng(int(seed)),
                 **engine_opts,
             )
             for (rows, cols), seed in zip(
-                product(row_sections, col_sections), self._shard_seeds
+                product(row_sections, col_sections), shard_seeds
             )
         ]
 
@@ -236,22 +287,6 @@ class CrossbarTile:
     def physical_arrays(self) -> List[CrossbarArray]:
         """Every physical :class:`CrossbarArray`, row-major shard order."""
         return list(self._arrays)
-
-    def shard_programs(self) -> List[ShardProgram]:
-        """Picklable snapshots of every shard, row-major order (cached).
-
-        The conductance matrices are static after programming, so the
-        snapshots are built once on first use.  Each program carries the
-        shard's own host-derived integer seed — the exact value its live
-        generator was started from — which keeps the seeded noise path
-        bit-identical no matter which address space executes the kernel.
-        """
-        if self._shard_programs is None:
-            self._shard_programs = [
-                ShardProgram.from_array(array, seed=seed)
-                for array, seed in zip(self._arrays, self._shard_seeds)
-            ]
-        return self._shard_programs
 
     @property
     def column_conductance_sums(self) -> np.ndarray:
@@ -307,12 +342,12 @@ class CrossbarTile:
     def _run_shards(self, batch: np.ndarray, sample_seeds, want: str) -> List:
         """Traverse every shard once; results in row-major shard order.
 
-        Shards run inline, on the runner's threads, or — decided at
-        construction — as :class:`~repro.crossbar.shard.ShardProgram` jobs on
-        its process pool (see :meth:`_program_job`).  Results are collected
-        in shard order either way, so they are independent of the execution
-        schedule.  The per-row ``sample_seeds`` are shared by every shard —
-        each shard derives its own noise streams from them via its distinct
+        Shards run inline, on the pool's threads, or — decided at
+        construction — as jobs on its process pool (see
+        :meth:`_offload_job`).  Results are collected in shard order either
+        way, so they are independent of the execution schedule.  The per-row
+        ``sample_seeds`` are shared by every shard — each shard derives its
+        own noise streams from them via its distinct
         :attr:`CrossbarArray.noise_tag`.
         """
         voltages = self._line_voltages(batch)
@@ -322,43 +357,39 @@ class CrossbarTile:
             else [voltages[:, cols] for cols in self._col_slices]
         )
         shard_voltages = columns * self._n_grid_rows  # row-major shard order
-        if self._offload:
-            jobs = [
-                self._program_job(index, shard_v, sample_seeds)
-                for index, shard_v in enumerate(shard_voltages)
-            ]
-        elif self._runner is None:
+        if self._runner is None:
             return [
-                run_shard(array, shard_v, sample_seeds, want=want)
+                _run_shard(array, shard_v, sample_seeds, want=want)
                 for array, shard_v in zip(self._arrays, shard_voltages)
             ]
-        else:
-            jobs = [
-                (array, shard_v, sample_seeds)
-                for array, shard_v in zip(self._arrays, shard_voltages)
-            ]
-        return self._runner.map(partial(run_shard, want=want), jobs)
+        jobs = [
+            (array, shard_v, sample_seeds)
+            for array, shard_v in zip(self._arrays, shard_voltages)
+        ]
+        if self._offload:
+            jobs = [self._offload_job(*job) for job in jobs]
+        return self._runner.map(partial(_run_shard, want=want), jobs)
 
-    def _program_job(self, index: int, voltages: np.ndarray, sample_seeds) -> tuple:
-        """A process-pool job for shard ``index``: its program, not the array.
+    @staticmethod
+    def _offload_job(array: CrossbarArray, voltages: np.ndarray, sample_seeds) -> tuple:
+        """A process-pool job for one shard: the live array, as it is now.
 
-        Workers need nothing from this address space.  Seeded and
-        deterministic calls are pure functions of the job — bitwise
+        The job is built at call time, so the array ships with its current
+        :attr:`~CrossbarArray.noise_tag` and the effective state the host's
+        :meth:`~CrossbarArray.count_traversal` has just cached.  Seeded and
+        deterministic calls are then pure functions of the job — bitwise
         identical to host execution.  An unseeded *stochastic* call needs
-        fresh noise: a per-call ``rng_seed`` is drawn from the host shard's
+        fresh noise: a per-call ``rng_seed`` is drawn from the host array's
         own generator, keeping all RNG statefulness host-side (statistically
         fresh draws, exactly one host draw per traversal).  The host array
-        counts the traversal by the same rule a host traversal uses —
-        workers are stateless and the counters describe the physical array,
-        wherever the kernel ran.
+        counts the traversal by the same rule a host traversal uses; the
+        worker's copy and its counters are discarded.
         """
-        program = self.shard_programs()[index]
-        array = self._arrays[index]
         rng_seed = None
-        if sample_seeds is None and not program.is_deterministic:
+        if sample_seeds is None and not array.is_deterministic:
             rng_seed = int(array._rng.integers(0, 2**63 - 1))
         array.count_traversal(len(voltages), seeded=sample_seeds is not None)
-        return program, voltages, sample_seeds, rng_seed
+        return array, voltages, sample_seeds, rng_seed
 
     def _join_rows(self, partials: List[np.ndarray]) -> np.ndarray:
         """Reduce column-shard partials per row shard, concatenate row outputs.

@@ -17,9 +17,8 @@ every implementation:
 Three implementations ship:
 
 * :class:`SerialExecutor` — in-process loop (the debugging reference).
-* :class:`PoolExecutor` — wraps
-  :class:`~repro.experiments.runner.ParallelRunner` (one host's
-  process/thread pool), bit-identical to the serial path.
+* :class:`PoolExecutor` — one host's process/thread pool, bit-identical to
+  the serial path.
 * :class:`~repro.executor.queue.QueueExecutor` — a TCP work-queue
   coordinator leasing job chunks to local or remote worker processes, with
   retries, heartbeat-based lease recovery and a resumable JSONL journal.
@@ -27,10 +26,15 @@ Three implementations ship:
 
 from __future__ import annotations
 
+import math
+import os
+import pickle
 import threading
+import warnings
 from abc import ABC, abstractmethod
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.executor.errors import ExecutionCancelled
 
@@ -152,25 +156,102 @@ class SerialExecutor(Executor):
         return results
 
 
-class PoolExecutor(Executor):
-    """One host's worker pool: a thin adapter over :class:`ParallelRunner`.
+def _call_star(payload: Tuple[Callable, tuple]):
+    """Top-level helper so worker invocations survive process-pool pickling."""
+    fn, args = payload
+    return fn(*args)
 
-    Submits the grid as one chunked ``runner.map`` call over
-    ``(run_job, job)`` payload tuples, so results are bit-identical to the
-    serial path.  Pass ``mode``/``max_workers`` to build the runner, or an
-    existing ``runner`` to reuse its configuration.  Per-job progress is not
-    available from a pool ``map``; hooks receive ``start`` and ``done``
-    events only.
+
+class PoolExecutor(Executor):
+    """One host's :mod:`concurrent.futures` worker pool.
+
+    Parameters
+    ----------
+    mode:
+        ``"process"`` (default) uses a :class:`ProcessPoolExecutor`,
+        ``"thread"`` a :class:`ThreadPoolExecutor`, and ``"serial"`` opts out
+        of parallelism entirely (useful for debugging and for callables that
+        cannot be pickled).
+    max_workers:
+        Worker-pool size; ``None`` uses the CPU count.
+
+    :meth:`map` is the one pool primitive: experiment grids go through it
+    (:meth:`submit_jobs`, one call over ``(run_job, job)`` tuples) and so do
+    the shard kernels of a sharded :class:`~repro.crossbar.tile.CrossbarTile`.
+    It only distributes calls whose seeds were derived up front and collects
+    results in submission order, so a parallel run is bit-identical to its
+    serial counterpart.  Per-job progress is not available from a pool
+    ``map``; hooks receive ``start`` and ``done`` events only.
+
+    Process mode falls back to serial execution (with a warning) when the
+    callable or a representative (first) argument tuple cannot be pickled —
+    e.g. closures over local state.  The probe is O(1) in the job count, so
+    a heterogeneous ``args_list`` whose *later* entries are unpicklable
+    surfaces as an error from the pool.  Jobs are submitted in **chunks** —
+    one contiguous block per worker — instead of one pickled round-trip per
+    job: sweep jobs are short and numerous, and per-job IPC measured ~1.5x
+    *slower* than serial for 51 short jobs on a small machine.  The pool is
+    never wider than the job list.
     """
 
     name = "pool"
+    VALID_MODES = ("process", "thread", "serial")
 
-    def __init__(self, runner=None, *, mode: str = "process", max_workers=None):
-        from repro.experiments.runner import ParallelRunner
+    def __init__(self, *, mode: str = "process", max_workers: Optional[int] = None):
+        mode = str(mode).lower()
+        if mode not in self.VALID_MODES:
+            raise ValueError(f"mode must be one of {self.VALID_MODES}, got {mode!r}")
+        self.mode = mode
+        self.max_workers = max_workers
 
-        if runner is None:
-            runner = ParallelRunner(mode=mode, max_workers=max_workers)
-        self.runner = runner
+    def map(self, fn: Callable, args_list: Sequence[tuple]) -> List:
+        """Apply ``fn(*args)`` to every argument tuple, preserving order."""
+        args_list = [tuple(args) for args in args_list]
+        mode = self.mode
+        if mode == "process" and not self._picklable(fn, args_list):
+            warnings.warn(
+                "PoolExecutor: callable or arguments are not picklable; "
+                "falling back to serial execution",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            mode = "serial"
+        if mode == "serial" or len(args_list) <= 1:
+            return [fn(*args) for args in args_list]
+        workers = self.resolve_workers(len(args_list))
+        payloads = [(fn, args) for args in args_list]
+        if mode == "thread":
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(_call_star, payloads))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(
+                pool.map(_call_star, payloads, chunksize=self.chunksize(len(args_list)))
+            )
+
+    def resolve_workers(self, n_jobs: int) -> int:
+        """The actual pool width for ``n_jobs`` (never wider than the jobs)."""
+        workers = self.max_workers or os.cpu_count() or 1
+        return max(1, min(workers, n_jobs))
+
+    def chunksize(self, n_jobs: int) -> int:
+        """Process-mode chunk size: one contiguous block per worker."""
+        return max(1, math.ceil(n_jobs / self.resolve_workers(n_jobs)))
+
+    @staticmethod
+    def _picklable(fn: Callable, args_list: Sequence[tuple]) -> bool:
+        """Probe process-pool compatibility cheaply.
+
+        Only ``fn`` and a single representative argument tuple are pickled —
+        serialising the whole ``args_list`` would cost O(total payload) just
+        to answer a yes/no question, and every job of a grid shares the same
+        callable and argument types.
+        """
+        sample = args_list[0] if args_list else ()
+        try:
+            pickle.dumps((fn, sample))
+        except Exception:
+            return False
+        return True
 
     def submit_jobs(self, jobs, *, run_job=None, on_progress=None, cancel=None):
         from repro.experiments.base import _execute_job, _run_annotated
@@ -180,9 +261,9 @@ class PoolExecutor(Executor):
         total = len(jobs)
         emit(on_progress, ExecutorEvent("start", 0, total))
         if run_job is None:
-            results = self.runner.map(_execute_job, [(job,) for job in jobs])
+            results = self.map(_execute_job, [(job,) for job in jobs])
         else:
-            results = self.runner.map(_run_annotated, [(run_job, job) for job in jobs])
+            results = self.map(_run_annotated, [(run_job, job) for job in jobs])
         emit(on_progress, ExecutorEvent("done", total, total))
         return results
 

@@ -27,7 +27,6 @@ from repro.experiments.config import (
     resolve_scale,
 )
 from repro.experiments.runner import (
-    ParallelRunner,
     prepare_model,
     prepare_dataset,
     TrainedModel,
@@ -79,7 +78,6 @@ __all__ = [
     "ShardingSpec",
     "resolve_scale",
     "ServiceAttackExperiment",
-    "ParallelRunner",
     "prepare_model",
     "prepare_dataset",
     "TrainedModel",

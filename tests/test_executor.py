@@ -30,7 +30,7 @@ from repro.executor import (
     resolve_executor,
 )
 from repro.executor.journal import result_from_wire, result_to_wire
-from repro.experiments import ExperimentScale, ParallelRunner
+from repro.experiments import ExperimentScale
 from repro.experiments.registry import get_experiment, list_experiments, run_experiments
 from repro.experiments.scenario import ScenarioSpec, resolve_scenarios
 from repro.experiments.sweep import SweepSpec
@@ -245,9 +245,13 @@ class TestSerialExecutor:
         with pytest.raises(ExecutionCancelled):
             SerialExecutor().submit_jobs(jobs, run_job=experiment.run_job, cancel=token)
         with pytest.raises(ExecutionCancelled):
-            PoolExecutor(runner=ParallelRunner(mode="serial")).submit_jobs(
+            PoolExecutor(mode="serial").submit_jobs(
                 jobs, run_job=experiment.run_job, cancel=token
             )
+
+    def test_pool_executor_rejects_removed_runner_argument(self):
+        with pytest.raises(TypeError, match="runner"):
+            PoolExecutor(runner=object())
 
 
 # ----------------------------------------------------- backend equivalence
@@ -647,19 +651,19 @@ class TestRunExecutorOptions:
             get_experiment("figure3").run(
                 tiny_scale,
                 scenarios=["paper/mnist-linear"],
-                runner=ParallelRunner(mode="serial"),
+                runner=PoolExecutor(mode="serial"),
             )
 
     def test_execute_jobs_rejects_removed_runner_keyword(self):
         from repro.experiments.base import execute_jobs
 
         with pytest.raises(TypeError, match="runner"):
-            execute_jobs([], runner=ParallelRunner(mode="serial"))
+            execute_jobs([], runner=PoolExecutor(mode="serial"))
 
     def test_run_experiments_rejects_removed_runner_keyword(self, tiny_scale):
         with pytest.raises(TypeError, match="runner"):
             run_experiments(
-                ["figure3"], tiny_scale, runner=ParallelRunner(mode="serial")
+                ["figure3"], tiny_scale, runner=PoolExecutor(mode="serial")
             )
 
     def test_run_accepts_executor_instances_and_names(self, tiny_scale):

@@ -10,7 +10,6 @@ from repro.executor import PoolExecutor
 from repro.experiments import (
     PAPER_SCENARIOS,
     ExperimentResult,
-    ParallelRunner,
     ScenarioSpec,
     get_experiment,
     get_scenario,
@@ -315,17 +314,17 @@ class TestPicklabilityProbe:
         """Regression: _picklable must not pickle the whole args_list (O(data))."""
         args_list = [(_CountsPickles(),) for _ in range(16)]
         _CountsPickles.pickled = 0
-        assert ParallelRunner._picklable(pow, args_list)
+        assert PoolExecutor._picklable(pow, args_list)
         assert _CountsPickles.pickled == 1
 
     def test_probe_empty_args_list(self):
-        assert ParallelRunner._picklable(pow, [])
+        assert PoolExecutor._picklable(pow, [])
 
     def test_probe_rejects_unpicklable_fn(self):
-        assert not ParallelRunner._picklable(lambda x: x, [(1,)])
+        assert not PoolExecutor._picklable(lambda x: x, [(1,)])
 
     def test_process_mode_still_falls_back_for_unpicklable_fn(self):
-        runner = ParallelRunner(mode="process")
+        runner = PoolExecutor(mode="process")
         with pytest.warns(RuntimeWarning, match="not picklable"):
             values = runner.map(lambda x: x + 1, [(1,), (2,)])
         assert values == [2, 3]

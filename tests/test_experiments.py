@@ -11,11 +11,12 @@ from repro.experiments.config import (
     TrainingConfig,
     resolve_scale,
 )
+from repro.executor import PoolExecutor
 from repro.experiments import get_experiment
 from repro.experiments.figure4 import STRATEGIES
 from repro.experiments.figure5 import Figure5Row
 from repro.experiments.reporting import format_mapping, format_series, format_table
-from repro.experiments.runner import ParallelRunner, prepare_dataset, prepare_model
+from repro.experiments.runner import prepare_dataset, prepare_model
 from repro.experiments.table1 import PAPER_TABLE1
 from repro.utils.results import RunResult
 
@@ -94,22 +95,22 @@ class TestRunner:
 
 
 def _seed_metric_run(run_index, seed):
-    """Module-level callable so ParallelRunner's process mode can pickle it."""
+    """Module-level callable so PoolExecutor's process mode can pickle it."""
     result = RunResult(name=f"run{run_index}")
     result.add_metric("seed_value", float(seed % 1000))
     return result
 
 
-class TestParallelRunner:
+class TestPoolExecutorMap:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            ParallelRunner(mode="gpu")
+            PoolExecutor(mode="gpu")
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     def test_parallel_matches_serial(self, mode):
         args = [(run_index, 1000 + run_index) for run_index in range(4)]
         serial = [_seed_metric_run(*call) for call in args]
-        runner = ParallelRunner(mode=mode, max_workers=2)
+        runner = PoolExecutor(mode=mode, max_workers=2)
         parallel = runner.map(_seed_metric_run, args)
         assert len(parallel) == 4
         for expected, result in zip(serial, parallel):
@@ -123,14 +124,14 @@ class TestParallelRunner:
             captured.append(run_index)
             return _seed_metric_run(run_index, seed)
 
-        runner = ParallelRunner(mode="process")
+        runner = PoolExecutor(mode="process")
         with pytest.warns(RuntimeWarning, match="not picklable"):
             results = runner.map(run_fn, [(run_index, 1) for run_index in range(3)])
         assert captured == [0, 1, 2]
         assert len(results) == 3
 
     def test_map_preserves_order(self):
-        runner = ParallelRunner(mode="thread", max_workers=4)
+        runner = PoolExecutor(mode="thread", max_workers=4)
         values = runner.map(pow, [(2, i) for i in range(8)])
         assert values == [2**i for i in range(8)]
 

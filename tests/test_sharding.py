@@ -10,7 +10,6 @@ float-reduction precision (1e-10), since a partial-sum reduction legitimately
 reassociates additions.
 """
 
-import dataclasses
 import importlib.util
 import json
 import pickle
@@ -22,20 +21,20 @@ import numpy as np
 import pytest
 
 from repro.attacks.oracle import Oracle
+from repro.backend import ArrayBackend, get_backend
 from repro.crossbar import (
     CrossbarAccelerator,
+    CrossbarArray,
     CrossbarTile,
     NonPicklableShardError,
-    ShardProgram,
     ShardingSpec,
     reduce_partial_sums,
-    run_shard,
 )
 from repro.crossbar.devices import IDEAL_DEVICE
 from repro.crossbar.mapping import ConductanceMapping
 from repro.crossbar.nonidealities import NonidealityConfig
 from repro.crossbar.power import layer_rail_grid, parse_tile_label
-from repro.experiments.runner import ParallelRunner
+from repro.executor import PoolExecutor
 from repro.experiments.scenario import SCENARIOS, ScenarioSpec, get_scenario
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
@@ -65,6 +64,17 @@ def dyadic_network(rng, n_inputs=13, n_outputs=7, activation="softmax"):
     bias = rng.integers(-4, 5, size=n_outputs) / 8.0
     layer.set_weights(weights, bias=bias)
     return Sequential([layer])
+
+
+def two_layer_network(rng, n_inputs=13):
+    """A 2-layer dyadic victim, so a 2x2 grid places eight physical arrays."""
+    first = Dense(n_inputs, 9, activation="relu", use_bias=True, random_state=0)
+    first.set_weights(
+        rng.integers(-8, 9, size=(9, n_inputs)) / 16.0,
+        bias=rng.integers(-4, 5, size=9) / 8.0,
+    )
+    second = dyadic_network(rng, n_inputs=9, n_outputs=5).layers[0]
+    return Sequential([first, second])
 
 
 def dyadic_inputs(rng, n, n_inputs=13):
@@ -314,7 +324,7 @@ class TestShardRunners:
         threaded = CrossbarAccelerator(
             network,
             sharding=ShardingSpec.grid(2, 2),
-            shard_runner=ParallelRunner(mode="thread", max_workers=4),
+            shard_runner=PoolExecutor(mode="thread", max_workers=4),
             random_state=0,
         )
         out_serial, report_serial = serial.forward_with_power(inputs)
@@ -325,8 +335,8 @@ class TestShardRunners:
         )
 
     #: Serial/thread/process must agree bitwise for every registered preset
-    #: geometry *and* non-divisible shapes (the shard-program determinism
-    #: contract: ideal devices make the kernels pure functions).
+    #: geometry *and* non-divisible shapes (ideal devices make the shard
+    #: kernels pure functions).
     PRESET_AND_UNEVEN = [
         ShardingSpec.rows(2),       # sharded-rows-2
         ShardingSpec.columns(4),    # sharded-columns-4
@@ -336,30 +346,66 @@ class TestShardRunners:
         ShardingSpec.grid(2, 3, reduction="tree"),  # non-divisible cols, tree
     ]
 
+    #: Seeded noisy cases on a 2-layer, 2x2-sharded victim.  Every shard's
+    #: streams are keyed by the noise tag the accelerator assigns after the
+    #: tiles are built, so a worker must see the tag the host array has now.
+    NOISY_SEEDED = {
+        "read-noise": {
+            "mapping": ConductanceMapping(
+                device=IDEAL_DEVICE.with_noise(read_noise=0.05)
+            )
+        },
+        "rail-noise": {
+            "nonidealities": NonidealityConfig(current_measurement_noise=0.05)
+        },
+        "read-noise-ir-drop": {
+            "mapping": ConductanceMapping(
+                device=IDEAL_DEVICE.with_noise(read_noise=0.05)
+            ),
+            "nonidealities": NonidealityConfig(wire_resistance_ohm=1e-3),
+        },
+    }
+
     @pytest.mark.parametrize(
-        "spec",
-        PRESET_AND_UNEVEN,
-        ids=lambda s: f"{s.row_shards}x{s.col_shards}-{s.reduction}",
+        "spec, noise",
+        [
+            pytest.param(
+                spec, None, id=f"{spec.row_shards}x{spec.col_shards}-{spec.reduction}"
+            )
+            for spec in PRESET_AND_UNEVEN
+        ]
+        + [
+            pytest.param(ShardingSpec.grid(2, 2), noise, id=f"2-layer-2x2-seeded-{noise}")
+            for noise in NOISY_SEEDED
+        ],
     )
-    def test_process_runner_bit_identical_to_serial(self, spec, rng):
-        """Process-mode shard execution is now legal — and bit-identical."""
-        network = dyadic_network(rng)
+    def test_process_runner_bit_identical_to_serial(self, spec, noise, rng):
+        """Process-mode shard execution is bit-identical to serial."""
+        if noise is None:
+            network, options, seeds = dyadic_network(rng), {}, None
+        else:
+            network, options = two_layer_network(rng), self.NOISY_SEEDED[noise]
+            seeds = np.arange(100, 106, dtype=np.uint64)
         inputs = dyadic_inputs(rng, 6)
-        serial = CrossbarAccelerator(network, sharding=spec, random_state=0)
+        serial = CrossbarAccelerator(network, sharding=spec, random_state=0, **options)
         process = CrossbarAccelerator(
             network,
             sharding=spec,
-            shard_runner=ParallelRunner(mode="process", max_workers=2),
+            shard_runner=PoolExecutor(mode="process", max_workers=2),
             random_state=0,
+            **options,
         )
-        out_serial, report_serial = serial.forward_with_power(inputs)
-        out_process, report_process = process.forward_with_power(inputs)
+        out_serial, report_serial = serial.forward_with_power(inputs, sample_seeds=seeds)
+        out_process, report_process = process.forward_with_power(
+            inputs, sample_seeds=seeds
+        )
         np.testing.assert_array_equal(out_process, out_serial)
         np.testing.assert_array_equal(
             report_process.per_tile_current, report_serial.per_tile_current
         )
         np.testing.assert_array_equal(
-            process.total_current(inputs), serial.total_current(inputs)
+            process.total_current(inputs, sample_seeds=seeds),
+            serial.total_current(inputs, sample_seeds=seeds),
         )
 
     def test_process_runner_counts_offloaded_operations(self, rng):
@@ -367,7 +413,7 @@ class TestShardRunners:
         accelerator = CrossbarAccelerator(
             network,
             sharding=ShardingSpec.grid(2, 2),
-            shard_runner=ParallelRunner(mode="process", max_workers=2),
+            shard_runner=PoolExecutor(mode="process", max_workers=2),
             random_state=0,
         )
         accelerator.reset_operation_counters()
@@ -384,7 +430,7 @@ class TestShardRunners:
         seeds = np.arange(3, dtype=np.uint64)
         mapping = ConductanceMapping(device=IDEAL_DEVICE.with_noise(read_noise=read_noise))
         counters = []
-        for runner in (None, ParallelRunner(mode="process", max_workers=2)):
+        for runner in (None, PoolExecutor(mode="process", max_workers=2)):
             accelerator = CrossbarAccelerator(
                 network,
                 mapping=mapping,
@@ -399,87 +445,139 @@ class TestShardRunners:
         expected_reads = 4 if read_noise == 0 else 4 * (1 + 3 + 1)
         assert counters[0] == counters[1] == (12, expected_reads)
 
-    def test_non_picklable_backend_rejected_with_typed_error(self):
+    def test_cupy_backend_rejected_at_construction(self):
         """A device-resident backend fails fast with NonPicklableShardError."""
         layer = Dense(8, 4, random_state=0)
-        tile = CrossbarTile(layer, random_state=0)
-        program = dataclasses.replace(
-            tile.shard_programs()[0], backend="cupy"
-        )
-        with pytest.raises(NonPicklableShardError, match="cupy"):
-            program.require_picklable()
-        assert issubclass(NonPicklableShardError, TypeError)
-
-    def test_capability_checked_at_group_construction(self, monkeypatch):
-        """The constructor probes the shard program, not the runner mode."""
-        layer = Dense(8, 4, random_state=0)
-        reference = CrossbarTile(layer, random_state=0).shard_programs()[0]
-        monkeypatch.setattr(
-            CrossbarTile,
-            "shard_programs",
-            lambda self: [dataclasses.replace(reference, backend="cupy")],
-        )
         with pytest.raises(NonPicklableShardError, match="cupy"):
             CrossbarTile(
                 layer,
                 ShardingSpec.grid(2, 2),
-                runner=ParallelRunner(mode="process"),
+                runner=PoolExecutor(mode="process"),
                 random_state=0,
+                backend=_CupyNamedBackend(),
+            )
+        assert issubclass(NonPicklableShardError, TypeError)
+        # Only process mode ships arrays; a thread pool keeps them in place.
+        CrossbarTile(
+            layer,
+            ShardingSpec.grid(2, 2),
+            runner=PoolExecutor(mode="thread"),
+            random_state=0,
+            backend=_CupyNamedBackend(),
+        )
+
+    def test_unpicklable_array_rejected_at_construction(self):
+        """Anything else is probed with a real pickle.dumps of a shard."""
+        layer = Dense(8, 4, random_state=0)
+        with pytest.raises(NonPicklableShardError, match="cannot be pickled"):
+            CrossbarTile(
+                layer,
+                ShardingSpec.grid(2, 2),
+                runner=PoolExecutor(mode="process"),
+                random_state=0,
+                backend=_UnpicklableBackend(),
             )
 
 
-class TestShardPrograms:
-    """The frozen shard snapshot: construction, pickling, kernel parity."""
+class _CupyNamedBackend(ArrayBackend):
+    """A host backend that reports the device-resident backend's name."""
 
-    def test_pickle_round_trip_runs_identically(self, rng):
-        layer = Dense(13, 7, activation="linear", use_bias=True, random_state=0)
-        layer.set_weights(rng.normal(size=(7, 13)), bias=rng.normal(size=7))
-        tile = CrossbarTile(layer, random_state=0)
-        program = tile.shard_programs()[0]
-        program.require_picklable()  # must not raise for host numpy state
-        restored = pickle.loads(pickle.dumps(program))
-        voltages = rng.uniform(0, 1, size=(5, 14))  # physical width incl. bias
-        out_a, cur_a = run_shard(program, voltages)
-        out_b, cur_b = run_shard(restored, voltages)
+    name = "cupy"
+
+
+class _UnpicklableBackend(ArrayBackend):
+    """A host backend carrying state that cannot be pickled."""
+
+    name = "unpicklable"
+
+    def __init__(self):
+        self.handle = lambda: None
+
+
+class TestShardArrays:
+    """The live array is what a process pool ships: pickling and parity."""
+
+    def test_pickled_array_runs_like_the_host_array(self, rng):
+        group = CrossbarTile(
+            dyadic_network(rng).layers[0], ShardingSpec.grid(2, 2), random_state=0
+        )
+        array = group.physical_arrays[3]
+        array.noise_tag = 7
+        array.count_traversal(1, seeded=False)  # fills the effective-state cache
+        restored = pickle.loads(pickle.dumps(array))
+        assert restored.noise_tag == 7
+        assert restored._state_cache.g_plus is restored.g_plus
+        voltages = rng.uniform(0, 1, size=(5, array.n_columns))
+        out_a, cur_a = array.matvec_with_current(voltages)
+        out_b, cur_b = restored.matvec_with_current(voltages)
+        np.testing.assert_array_equal(out_a, out_b)
+        np.testing.assert_array_equal(cur_a, cur_b)
+        # The shipped cache serves the copy: no second conductance read.
+        assert restored.n_realizations == array.n_realizations
+
+    def test_pickled_noisy_array_is_seeded_like_the_host_array(self, rng):
+        mapping = ConductanceMapping(device=IDEAL_DEVICE.with_noise(read_noise=0.05))
+        config = NonidealityConfig(current_measurement_noise=0.05)
+        array = CrossbarArray(
+            rng.normal(size=(6, 9)), mapping=mapping, nonidealities=config, random_state=0
+        )
+        array.noise_tag = 5
+        restored = pickle.loads(pickle.dumps(array))
+        voltages = rng.uniform(0, 1, size=(4, 9))
+        seeds = np.arange(4, dtype=np.uint64)
+        out_a, cur_a = array.matvec_with_current(voltages, sample_seeds=seeds)
+        out_b, cur_b = restored.matvec_with_current(voltages, sample_seeds=seeds)
         np.testing.assert_array_equal(out_a, out_b)
         np.testing.assert_array_equal(cur_a, cur_b)
 
-    def test_program_matches_host_array(self, rng):
-        layer = Dense(12, 6, activation="linear", random_state=0)
-        tile = CrossbarTile(layer, random_state=0)
-        program = tile.shard_programs()[0]
-        voltages = rng.uniform(0, 1, size=(4, 12))
-        out_kernel, cur_kernel = run_shard(program, voltages)
-        array = tile.physical_arrays[0]
-        np.testing.assert_array_equal(out_kernel, array.matvec(voltages))
-        np.testing.assert_array_equal(cur_kernel, array.total_current(voltages))
+    def test_registry_backend_pickles_by_name(self):
+        numpy_backend = get_backend("numpy")
+        assert pickle.loads(pickle.dumps(numpy_backend)) is numpy_backend
+        array = CrossbarArray(np.eye(3), random_state=0)
+        assert pickle.loads(pickle.dumps(array)).backend is numpy_backend
 
-    def test_conductances_are_frozen_copies(self, rng):
-        layer = Dense(8, 4, random_state=0)
-        tile = CrossbarTile(layer, random_state=0)
-        program = tile.shard_programs()[0]
-        assert not program.g_plus.flags.writeable
-        assert not program.g_minus.flags.writeable
-        with pytest.raises(ValueError):
-            program.g_plus[0, 0] = 1.0
+    def test_non_registry_backend_travels_by_value(self):
+        backend = _CupyNamedBackend()
+        restored = pickle.loads(pickle.dumps(backend))
+        assert type(restored) is _CupyNamedBackend
+        assert restored is not backend
+
+    @pytest.mark.parametrize(
+        "mapping, config, deterministic",
+        [
+            (ConductanceMapping(), NonidealityConfig(), True),
+            (
+                ConductanceMapping(device=IDEAL_DEVICE.with_noise(read_noise=0.05)),
+                NonidealityConfig(),
+                False,
+            ),
+            (
+                ConductanceMapping(),
+                NonidealityConfig(current_measurement_noise=0.05),
+                False,
+            ),
+        ],
+        ids=["ideal", "read-noise", "rail-noise"],
+    )
+    def test_every_shard_reports_determinism(self, mapping, config, deterministic, rng):
+        layer = Dense(12, 6, activation="linear", random_state=0)
+        group = CrossbarTile(
+            layer,
+            ShardingSpec.grid(2, 3),
+            mapping=mapping,
+            nonidealities=config,
+            random_state=0,
+        )
+        assert len(group.physical_arrays) == 6
+        assert all(
+            array.is_deterministic is deterministic for array in group.physical_arrays
+        )
 
     def test_mapping_without_weight_scale_rejected(self):
         with pytest.raises(ValueError, match="weight_scale"):
-            ShardProgram(
-                g_plus=np.zeros((2, 2)),
-                g_minus=np.zeros((2, 2)),
-                mapping=ConductanceMapping(),
+            CrossbarArray.from_conductances(
+                np.zeros((2, 2)), np.zeros((2, 2)), mapping=ConductanceMapping()
             )
-
-    def test_sharded_group_exposes_one_program_per_shard(self, rng):
-        layer = Dense(12, 6, activation="linear", random_state=0)
-        group = CrossbarTile(layer, ShardingSpec.grid(2, 3), random_state=0)
-        programs = group.shard_programs()
-        assert len(programs) == 6
-        for program, array in zip(programs, group.physical_arrays):
-            np.testing.assert_array_equal(program.g_plus, array.g_plus)
-            np.testing.assert_array_equal(program.g_minus, array.g_minus)
-            assert program.is_deterministic
 
 
 class TestAcceleratorShardingArgument:
